@@ -11,14 +11,16 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .beam import SUPPORTS
-from .dsp import MultiChannelRecord, csd_matrix, derive_seed
+from .dsp import MultiChannelRecord
 from .freqdom import fdd_identify, pp_identify
 from .harness import (BeamConfig, BenchmarkReport, CampaignConfig, DEFAULT_SEED,
-                      run_campaign, simulate_beam, summarize_and_tables)
+                      fe_reference, run_campaign, simulate_beam, simulate_beams,
+                      summarize_and_tables)
 from .metrics import pair_to_reference, relative_error
 from .noise import NoiseSpec, corrupt
 from .ssi import ssi_identify
@@ -88,7 +90,6 @@ def _build_parser() -> _Parser:
     idf.add_argument("--beam", required=True, choices=SUPPORTS,
                      help="beam whose FE modes serve as reference")
     idf.add_argument("--out", required=True, help="output mode table (.csv)")
-    idf.add_argument("--seed", type=int, default=DEFAULT_SEED)
     idf.add_argument("--modes", type=int, default=5, help="reference modes to pair")
 
     ben = sub.add_parser("bench", help="run the Monte Carlo campaign from a config file")
@@ -130,26 +131,16 @@ def _cmd_corrupt(args) -> int:
     return 0
 
 
-def _reference_modes(beam: str, n_modes: int):
-    art = simulate_beam(BeamConfig(beam, beam), DEFAULT_SEED, n_modes)
-    return art.reference_frequencies, art.reference_shapes
-
-
 def _cmd_identify(args) -> int:
     record = _load_record(args.infile)
-    ref_f, ref_s = _reference_modes(args.beam, args.modes)
-    if args.method == "pp":
-        mode_set = pp_identify(record)
-    elif args.method == "fdd":
-        mode_set = fdd_identify(record)
-    else:
-        mode_set = ssi_identify(record)
+    art = fe_reference(BeamConfig(args.beam, args.beam), args.modes)
+    ref_f, ref_s = art.reference_frequencies, art.reference_shapes
+    mode_set = {"pp": pp_identify, "fdd": fdd_identify, "ssi": ssi_identify}[args.method](record)
     pairing = pair_to_reference(mode_set.frequencies, mode_set.shapes, ref_f, ref_s)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("mode,reference_hz,frequency_hz,rel_err_pct,mac\n")
-        for k in range(ref_f.size):
+        for k, match in enumerate(pairing.matches):
             ref = float(ref_f[k])
-            match = pairing.matches[k]
             if match is None:
                 fh.write(f"{k+1},{ref!r},-,-,-\n")
             else:
@@ -164,15 +155,12 @@ def _cmd_identify(args) -> int:
 def _cmd_bench(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    merged = CampaignConfig.from_dict(doc).to_dict()
-    if args.runs is not None:
-        merged["runs"] = args.runs
-    if args.out is not None:
-        merged["output_dir"] = args.out
-    config = CampaignConfig.from_dict(merged)
-    jobs = resolve_jobs(args.jobs)
-    report = run_campaign(config, jobs=jobs)
-    written = summarize_and_tables(report, config.output_dir)
+    overrides = {"runs": args.runs, "output_dir": args.out}
+    config = replace(CampaignConfig.from_dict(doc),
+                     **{k: v for k, v in overrides.items() if v is not None})
+    artifacts = simulate_beams(config)
+    report = run_campaign(config, jobs=resolve_jobs(args.jobs), artifacts=artifacts)
+    written = summarize_and_tables(report, config.output_dir, artifacts=artifacts)
     print(f"campaign complete: {len(report.results)} runs, "
           f"{sum(report.failure_counts.values())} identifier failures, "
           f"{len(written)} files in {config.output_dir}")
@@ -212,3 +200,7 @@ def run_cli(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -9,6 +9,7 @@ each peak.  Both report an :class:`IdentifiedModeSet`.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,11 +90,17 @@ class IdentifiedMode:
 
 @dataclass(frozen=True)
 class IdentifiedModeSet:
-    """Result of one identification pass, modes ascending in frequency."""
+    """Result of one identification pass, modes ascending in frequency.
+
+    ``shape_at(frequency, rel_window)`` is the method's shape estimate near
+    a frequency from the same pass, or ``None``.
+    """
 
     method: str
     modes: tuple[IdentifiedMode, ...]
     notes: tuple[str, ...] = ()
+    shape_at: Callable[[float, float], np.ndarray | None] | None = field(
+        default=None, compare=False, repr=False)
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -105,7 +112,7 @@ class IdentifiedModeSet:
 
 
 def _build_mode_set(method: str, modes: list[IdentifiedMode], grid_df: float,
-                    notes: list[str]) -> IdentifiedModeSet:
+                    notes: list[str], shape_at) -> IdentifiedModeSet:
     """Sort ascending and drop duplicates closer than the grid spacing."""
     modes = sorted(modes, key=lambda m: m.frequency)
     kept: list[IdentifiedMode] = []
@@ -116,7 +123,7 @@ def _build_mode_set(method: str, modes: list[IdentifiedMode], grid_df: float,
                 kept[-1] = m
             continue
         kept.append(m)
-    return IdentifiedModeSet(method, tuple(kept), tuple(notes))
+    return IdentifiedModeSet(method, tuple(kept), tuple(notes), shape_at)
 
 
 def unit_normalize(shape: np.ndarray) -> np.ndarray:
@@ -279,7 +286,8 @@ def pp_identify(record: MultiChannelRecord,
             continue
         modes.append(IdentifiedMode(pk.frequency, shape, None,
                                     {"height": pk.height}))
-    return _build_mode_set("PP", modes, curve.df, notes)
+    return _build_mode_set("PP", modes, curve.df, notes,
+                           lambda f, _window: pp_shape_at(g, ref, f))
 
 
 def singular_value_curve(spectral: SpectralMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -322,7 +330,8 @@ def fdd_identify(record: MultiChannelRecord,
         shape = unit_normalize(align_to_real(u1))
         modes.append(IdentifiedMode(pk.frequency, shape, None,
                                     {"height": pk.height, "sv_ratio": ratio}))
-    return _build_mode_set("FDD", modes, float(g.df), [])
+    return _build_mode_set("FDD", modes, float(g.df), [],
+                           lambda f, _window: fdd_shape_at(g, f))
 
 
 def write_curve_csv(path, frequencies, values) -> None:

@@ -12,22 +12,22 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .beam import (BeamModel, BeamSection, GlobalSystem, Material, ModalSolution,
                    SUPPORTS, assemble_model, modal_analysis, transient_response)
-from .dsp import (MultiChannelRecord, SpectralEstimatorOptions, SpectralMatrix,
-                  band_limited_force, csd_matrix, derive_seed, psd)
+from .dsp import (MultiChannelRecord, SpectralEstimatorOptions, band_limited_force,
+                  csd_matrix, derive_seed, psd)
 from .freqdom import (IdentifiedModeSet, PeakOptions, anpsd_from_densities,
-                      fdd_identify, fdd_shape_at, pp_identify, pp_shape_at,
-                      unit_normalize, write_curve_csv, _band_power_reference)
-from .metrics import ModePairing, mac, pair_to_reference, relative_error
-from .noise import NoiseSpec, corrupt
-from .ssi import (HankelOptions, StabilityTolerances, build_hankel,
-                  clip_to_passband, stabilization)
+                      fdd_identify, pp_identify, unit_normalize, write_curve_csv)
+from .metrics import mac, pair_to_reference, relative_error
+from .noise import NoiseSpec, corrupt, noise_level_to_snr_db
+from .ssi import HankelOptions, StabilityTolerances, ssi_identify
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -41,7 +41,9 @@ __all__ = [
     "BenchmarkReport",
     "BeamArtifacts",
     "default_beams",
+    "fe_reference",
     "simulate_beam",
+    "simulate_beams",
     "run_single",
     "run_campaign",
     "summarize_and_tables",
@@ -84,24 +86,6 @@ class BeamConfig:
         return BeamModel(Material(self.elastic_modulus, self.density, self.poisson_ratio),
                          BeamSection(self.width, self.height),
                          self.span, self.n_elements, self.support, self.damping_ratio)
-
-    def to_dict(self) -> dict:
-        return {
-            "beam_id": self.beam_id, "support": self.support, "span": self.span,
-            "n_elements": self.n_elements, "elastic_modulus": self.elastic_modulus,
-            "density": self.density, "poisson_ratio": self.poisson_ratio,
-            "width": self.width, "height": self.height,
-            "damping_ratio": self.damping_ratio, "dt": self.dt,
-            "duration": self.duration, "force_band": list(self.force_band),
-            "force_rms": self.force_rms,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BeamConfig":
-        d = dict(d)
-        if "force_band" in d:
-            d["force_band"] = tuple(d["force_band"])
-        return cls(**d)
 
 
 def default_beams() -> tuple[BeamConfig, ...]:
@@ -168,81 +152,93 @@ class CampaignConfig:
             raise ValueError("n_modes must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "master_seed": self.master_seed,
-            "runs": self.runs,
-            "noise_levels": list(self.noise_levels),
-            "methods": list(self.methods),
-            "n_modes": self.n_modes,
-            "pairing": {"f_window": self.f_window, "mac_threshold": self.mac_threshold},
-            "estimator": {"window": self.estimator.window,
-                          "segments": self.estimator.segments,
-                          "overlap": self.estimator.overlap},
-            "peaks": {"prominence_db": self.peaks.prominence_db,
-                      "min_separation_hz": self.peaks.min_separation_hz,
-                      "band": list(self.peaks.band)},
-            "ssi": {"block_rows": self.hankel.block_rows,
-                    "orders": list(self.hankel.orders) if self.hankel.orders else None,
-                    "detrend": self.hankel.detrend,
-                    "decimate": self.hankel.decimate,
-                    "integrate": self.hankel.integrate,
-                    "freq_rel": self.stability.freq_rel,
-                    "damping_abs": self.stability.damping_abs,
-                    "mac_min": self.stability.mac_min,
-                    "min_cluster_size": self.stability.min_cluster_size},
-            "output_dir": self.output_dir,
-            "beams": [b.to_dict() for b in self.beams],
-        }
+        doc = _to_json(self)
+        for key, members in _SECTIONS.items():
+            doc[key] = {}
+            for name in members:
+                part = doc.pop(name)
+                doc[key].update(part if isinstance(part, dict) else {name: part})
+        return {"schema_version": SCHEMA_VERSION, **{key: doc[key] for key in _KEY_ORDER}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CampaignConfig":
-        """Build a config from a (possibly partial) JSON dictionary."""
-        version = d.get("schema_version", SCHEMA_VERSION)
+        """Build a config from a (possibly partial) JSON dictionary.
+
+        Omitted keys, and omitted entries of a section, keep the campaign
+        defaults; an unknown key raises ``ValueError``.
+        """
+        doc = dict(d)
+        version = doc.pop("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema_version {version}")
-        kw: dict = {}
-        if "beams" in d:
-            kw["beams"] = tuple(BeamConfig.from_dict(b) for b in d["beams"])
-        for key in ("runs", "master_seed", "n_modes", "output_dir"):
-            if key in d:
-                kw[key] = d[key]
-        if "noise_levels" in d:
-            kw["noise_levels"] = tuple(float(x) for x in d["noise_levels"])
-        if "methods" in d:
-            kw["methods"] = tuple(d["methods"])
-        pairing = d.get("pairing", {})
-        if "f_window" in pairing:
-            kw["f_window"] = float(pairing["f_window"])
-        if "mac_threshold" in pairing:
-            kw["mac_threshold"] = float(pairing["mac_threshold"])
-        est = d.get("estimator", {})
-        if est:
-            kw["estimator"] = SpectralEstimatorOptions(
-                window=est.get("window", "rectangular"),
-                segments=int(est.get("segments", 1)),
-                overlap=float(est.get("overlap", 0.0)))
-        pk = d.get("peaks", {})
-        if pk:
-            kw["peaks"] = PeakOptions(
-                prominence_db=float(pk.get("prominence_db", 6.0)),
-                min_separation_hz=float(pk.get("min_separation_hz", 2.0)),
-                band=tuple(pk.get("band", (0.5, 1200.0))))
-        ssik = d.get("ssi", {})
-        if ssik:
-            orders = ssik.get("orders")
-            kw["hankel"] = HankelOptions(
-                block_rows=int(ssik.get("block_rows", 10)),
-                orders=tuple(orders) if orders else None,
-                detrend=bool(ssik.get("detrend", True)),
-                decimate=int(ssik.get("decimate", 5)),
-                integrate=int(ssik.get("integrate", 2)))
-            kw["stability"] = StabilityTolerances(
-                freq_rel=float(ssik.get("freq_rel", 0.01)),
-                damping_abs=float(ssik.get("damping_abs", 0.05)),
-                mac_min=float(ssik.get("mac_min", 0.95)),
-                min_cluster_size=int(ssik.get("min_cluster_size", 3)))
-        return cls(**kw)
+        for key in doc:
+            if key not in _KEY_ORDER:
+                raise ValueError(f"unknown config key {key!r}")
+        base = cls()
+        for key, members in _SECTIONS.items():
+            section = dict(_object(doc.pop(key, {}), key))
+            for name in members:
+                value = getattr(base, name)
+                if is_dataclass(value):
+                    doc[name] = {f.name: section.pop(f.name)
+                                 for f in fields(value) if f.name in section}
+                elif name in section:
+                    doc[name] = section.pop(name)
+            if section:
+                raise ValueError(f"unknown config key {key + '.' + next(iter(section))!r}")
+        if "beams" in doc:
+            doc["beams"] = tuple(_beam_from_json(b, f"beams[{i}].")
+                                 for i, b in enumerate(doc["beams"]))
+        return _merge(base, doc)
+
+
+# Top-level keys of a campaign config's JSON form, in output order.  A key in
+# _SECTIONS groups the fields it lists, a dataclass field contributing its
+# own fields; every other key holds the field of the same name.
+_KEY_ORDER = ("master_seed", "runs", "noise_levels", "methods", "n_modes", "pairing",
+              "estimator", "peaks", "ssi", "output_dir", "beams")
+_SECTIONS = {"pairing": ("f_window", "mac_threshold"), "ssi": ("hankel", "stability")}
+
+
+def _to_json(value):
+    """JSON form: dataclasses and dicts become objects, tuples (of one kind) lists."""
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value] if value and is_dataclass(value[0]) else list(value)
+    if isinstance(value, dict):
+        return {k: _to_json(v) for k, v in value.items()}
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"config {where!r} must be an object")
+    return value
+
+
+def _merge(base, doc: dict, where: str = ""):
+    """``base`` with the fields named in ``doc`` replaced by their JSON values.
+
+    Dataclass fields merge recursively, so a partial section keeps the rest
+    of ``base``; lists become tuples; a key that names no field is an error.
+    """
+    names = {f.name for f in fields(base)}
+    changes = {}
+    for key, value in doc.items():
+        if key not in names:
+            raise ValueError(f"unknown config key {where + key!r}")
+        current = getattr(base, key)
+        if is_dataclass(current):
+            value = _merge(current, _object(value, where + key), f"{where}{key}.")
+        changes[key] = tuple(value) if isinstance(value, list) else value
+    return replace(base, **changes)
+
+
+def _beam_from_json(doc, where: str) -> BeamConfig:
+    """A beam merged over the defaults; ``beam_id`` and ``support`` are required."""
+    doc = _object(doc, where[:-1])
+    return _merge(BeamConfig(doc.get("beam_id", ""), doc.get("support", "")), doc, where)
 
 
 @dataclass(frozen=True)
@@ -255,7 +251,19 @@ class BeamArtifacts:
     modal: ModalSolution
     reference_frequencies: np.ndarray
     reference_shapes: np.ndarray  # channels x n_modes
-    clean_record: MultiChannelRecord
+    clean_record: MultiChannelRecord | None = None  # None from fe_reference()
+
+
+def fe_reference(bc: BeamConfig, n_modes: int = 5) -> BeamArtifacts:
+    """Assemble and solve one beam and keep its lowest FE modes; no transient."""
+    model = bc.model()
+    system = assemble_model(model)
+    if system.n_channels == 0:
+        raise ValueError(f"beam {bc.beam_id} has no measurement channels")
+    modal = modal_analysis(model, system)
+    n_modes = min(n_modes, modal.n_modes)
+    return BeamArtifacts(bc, model, system, modal, modal.frequencies[:n_modes],
+                         modal.channel_shapes(system)[:, :n_modes])
 
 
 def simulate_beam(bc: BeamConfig, master_seed: int, n_modes: int = 5) -> BeamArtifacts:
@@ -264,22 +272,20 @@ def simulate_beam(bc: BeamConfig, master_seed: int, n_modes: int = 5) -> BeamArt
     Every free vertical DOF is driven by an independent band-limited force;
     all FE modes participate in the response.
     """
-    model = bc.model()
-    system = assemble_model(model)
-    if system.n_channels == 0:
-        raise ValueError(f"beam {bc.beam_id} has no measurement channels")
-    modal = modal_analysis(model, system)
+    ref = fe_reference(bc, n_modes)
     rate = 1.0 / bc.dt
     force_rows = [band_limited_force(bc.duration, rate, bc.force_band, bc.force_rms,
                                      derive_seed(master_seed, "force", bc.beam_id, label))
-                  for label in system.channel_labels]
-    forces = MultiChannelRecord(rate, np.vstack(force_rows), system.channel_labels)
-    record = transient_response(system, modal, forces, bc.dt, bc.duration)
-    n_modes = min(n_modes, modal.n_modes)
-    return BeamArtifacts(bc, model, system, modal,
-                         modal.frequencies[:n_modes],
-                         modal.channel_shapes(system)[:, :n_modes],
-                         record)
+                  for label in ref.system.channel_labels]
+    forces = MultiChannelRecord(rate, np.vstack(force_rows), ref.system.channel_labels)
+    record = transient_response(ref.system, ref.modal, forces, bc.dt, bc.duration)
+    return replace(ref, clean_record=record)
+
+
+def simulate_beams(config: CampaignConfig) -> dict[str, BeamArtifacts]:
+    """Every beam of a campaign, simulated once, by beam id."""
+    return {bc.beam_id: simulate_beam(bc, config.master_seed, config.n_modes)
+            for bc in config.beams}
 
 
 @dataclass(frozen=True)
@@ -318,12 +324,21 @@ class RunResult:
     methods: dict
 
 
-def _score_method(mode_set, pairing: ModePairing, ref_freqs, ref_shapes,
-                  fallback_shape) -> MethodResult:
-    """Assemble per-mode outcomes, using the fallback extractor when unpaired."""
+# Identifiers by method name; PP and FDD share the run's CSD matrix ``g``.
+_IDENTIFIERS = {
+    "PP": lambda rec, cfg, g: pp_identify(rec, cfg.estimator, cfg.peaks, spectral=g),
+    "FDD": lambda rec, cfg, g: fdd_identify(rec, cfg.estimator, cfg.peaks, spectral=g),
+    "SSI": lambda rec, cfg, g: ssi_identify(rec, cfg.hankel, cfg.stability),
+}
+
+
+def _score_method(mode_set: IdentifiedModeSet, ref_freqs, ref_shapes,
+                  config: CampaignConfig) -> MethodResult:
+    """Pair to the reference; score unpaired modes by the set's own shape extractor."""
+    pairing = pair_to_reference(mode_set.frequencies, mode_set.shapes, ref_freqs, ref_shapes,
+                                config.f_window, config.mac_threshold)
     outcomes = []
-    for k in range(ref_freqs.size):
-        match = pairing.matches[k]
+    for k, match in enumerate(pairing.matches):
         if match is not None:
             idx, freq, m = match
             shape = mode_set.modes[idx].shape
@@ -331,7 +346,7 @@ def _score_method(mode_set, pairing: ModePairing, ref_freqs, ref_shapes,
                                         relative_error(freq, float(ref_freqs[k])),
                                         tuple(float(x) for x in shape)))
         else:
-            shape = fallback_shape(float(ref_freqs[k]))
+            shape = mode_set.shape_at(float(ref_freqs[k]), config.f_window)
             m = mac(shape, ref_shapes[:, k]) if shape is not None else 0.0
             outcomes.append(ModeOutcome(False, None, m, None, None))
     return MethodResult(tuple(outcomes),
@@ -339,106 +354,68 @@ def _score_method(mode_set, pairing: ModePairing, ref_freqs, ref_shapes,
                         mode_set.notes)
 
 
+def _noisy_record(artifacts: BeamArtifacts, config: CampaignConfig,
+                  nl_index: int, run_index: int):
+    """The (level, run) cell's corrupted record and its per-channel SNR [dB]."""
+    level = config.noise_levels[nl_index]
+    if level == 0:
+        return artifacts.clean_record, None
+    spec = NoiseSpec(level, derive_seed(config.master_seed, "noise",
+                                        artifacts.config.beam_id, nl_index, run_index))
+    noisy, rep = corrupt(artifacts.clean_record, spec)
+    return noisy, rep.snr_db
+
+
 def run_single(artifacts: BeamArtifacts, config: CampaignConfig,
                nl_index: int, run_index: int) -> RunResult:
     """One corrupt-identify-score pass for a cached beam.
 
-    Identifier failures are recorded in the result and never abort the run.
+    Numerical and validation errors of an identifier are recorded in the
+    result and never abort the run; any other exception propagates.
     """
-    level = config.noise_levels[nl_index]
-    bc = artifacts.config
-    if level > 0:
-        spec = NoiseSpec(level, derive_seed(config.master_seed, "noise",
-                                            bc.beam_id, nl_index, run_index))
-        noisy, rep = corrupt(artifacts.clean_record, spec)
-        snr_db = rep.snr_db
-    else:
-        noisy, snr_db = artifacts.clean_record, None
+    noisy, snr_db = _noisy_record(artifacts, config, nl_index, run_index)
     ref_f = artifacts.reference_frequencies
-    ref_s = artifacts.reference_shapes
+    shared_csd = "PP" in config.methods or "FDD" in config.methods
+    spectral = csd_matrix(noisy, config.estimator) if shared_csd else None
     methods: dict[str, MethodResult] = {}
-    spectral: SpectralMatrix | None = None
-    if "PP" in config.methods or "FDD" in config.methods:
-        spectral = csd_matrix(noisy, config.estimator)
-
-    def pair(mode_set):
-        return pair_to_reference(mode_set.frequencies, mode_set.shapes, ref_f, ref_s,
-                                 config.f_window, config.mac_threshold)
-
     for name in config.methods:
         try:
-            if name == "PP":
-                ref_ch = _band_power_reference(spectral, config.peaks.band)
-                mode_set = pp_identify(noisy, config.estimator, config.peaks,
-                                       reference_channel=ref_ch, spectral=spectral)
-                fallback = lambda f: pp_shape_at(spectral, ref_ch, f)
-            elif name == "FDD":
-                mode_set = fdd_identify(noisy, config.estimator, config.peaks,
-                                        spectral=spectral)
-                fallback = lambda f: fdd_shape_at(spectral, f)
-            else:
-                fact = build_hankel(noisy, config.hankel)
-                diagram = stabilization(fact, config.hankel.resolve_orders(noisy.n_channels),
-                                        config.stability)
-                selected, ssi_notes = clip_to_passband(diagram.selected, diagram.notes,
-                                                       noisy.sample_rate, config.hankel)
-                mode_set = IdentifiedModeSet("SSI", selected, ssi_notes)
-                fallback = lambda f, d=diagram: (
-                    p.shape if (p := d.nearest_pole(f, config.f_window)) is not None else None)
-            methods[name] = _score_method(mode_set, pair(mode_set), ref_f, ref_s, fallback)
-        except Exception as exc:  # identifier failure: record, keep going
-            empty = tuple(ModeOutcome(False, None, 0.0, None, None)
-                          for _ in range(ref_f.size))
-            methods[name] = MethodResult(empty, (), (f"failed: {exc}",), True)
-    return RunResult(bc.beam_id, level, nl_index, run_index, snr_db, methods)
+            mode_set = _IDENTIFIERS[name](noisy, config, spectral)
+            methods[name] = _score_method(mode_set, ref_f, artifacts.reference_shapes, config)
+        except (ValueError, np.linalg.LinAlgError) as exc:  # identifier failure: record it
+            empty = (ModeOutcome(False, None, 0.0, None, None),) * ref_f.size
+            note = f"failed: {type(exc).__name__}: {exc}"
+            methods[name] = MethodResult(empty, (), (note,), True)
+    return RunResult(artifacts.config.beam_id, config.noise_levels[nl_index], nl_index,
+                     run_index, snr_db, methods)
 
 
 # ---------------------------------------------------------------------------
 # campaign orchestration
 
-_WORKER_STATE: dict = {}
+# (config, artifacts) of the campaign a pool worker serves, set by its initializer.
+_WORKER_ARGS: tuple = ()
 
 
-def _worker_init(config_dict: dict):
-    config = CampaignConfig.from_dict(config_dict)
-    _WORKER_STATE["config"] = config
-    _WORKER_STATE["artifacts"] = {}
+def _worker_init(config: CampaignConfig, artifacts: dict) -> None:
+    global _WORKER_ARGS
+    _WORKER_ARGS = (config, artifacts)
 
 
 def _worker_run(task):
+    config, artifacts = _WORKER_ARGS
     beam_id, nl_index, run_index = task
-    config = _WORKER_STATE["config"]
-    artifacts = _WORKER_STATE["artifacts"]
-    if beam_id not in artifacts:
-        bc = next(b for b in config.beams if b.beam_id == beam_id)
-        artifacts[beam_id] = simulate_beam(bc, config.master_seed, config.n_modes)
     return run_single(artifacts[beam_id], config, nl_index, run_index)
 
 
-def _reference_entry(bc: BeamConfig, n_modes: int) -> dict:
-    """FE reference modal data for the report (no transient needed)."""
-    model = bc.model()
-    system = assemble_model(model)
-    modal = modal_analysis(model, system, n_modes=min(n_modes, len(system.free_dofs)))
-    shapes = modal.channel_shapes(system)
-    n = min(n_modes, modal.n_modes)
+def _reference_entry(art: BeamArtifacts) -> dict:
+    """FE reference modal data of one beam for the report."""
     return {
-        "frequencies": [float(f) for f in modal.frequencies[:n]],
-        "channel_shapes": [[float(x) for x in shapes[:, k]] for k in range(n)],
-        "channel_coords": [float(x) for x in system.channel_coords],
-        "channel_labels": list(system.channel_labels),
+        "frequencies": art.reference_frequencies.tolist(),
+        "channel_shapes": art.reference_shapes.T.tolist(),
+        "channel_coords": art.system.channel_coords.tolist(),
+        "channel_labels": list(art.system.channel_labels),
     }
-
-
-def _task_list(config: CampaignConfig):
-    """(beam, level, run) grid; noise-free levels collapse to a single run."""
-    tasks = []
-    for bc in config.beams:
-        for nl_index, level in enumerate(config.noise_levels):
-            n_runs = 1 if level == 0 else config.runs
-            for run in range(n_runs):
-                tasks.append((bc.beam_id, nl_index, run))
-    return tasks
 
 
 @dataclass(frozen=True)
@@ -453,9 +430,16 @@ class BenchmarkReport:
     def campaign_config(self) -> CampaignConfig:
         return CampaignConfig.from_dict(self.config)
 
+    @cached_property
+    def _cells(self) -> dict:
+        """Results grouped by (beam_id, nl_index), in report order."""
+        cells: dict = {}
+        for r in self.results:
+            cells.setdefault((r.beam_id, r.nl_index), []).append(r)
+        return cells
+
     def runs_for(self, beam_id: str, nl_index: int) -> list[RunResult]:
-        return [r for r in self.results
-                if r.beam_id == beam_id and r.nl_index == nl_index]
+        return list(self._cells.get((beam_id, nl_index), ()))
 
     def worst_run(self, beam_id: str, nl_index: int, method: str = "PP") -> RunResult:
         """Run minimizing the minimum per-mode MAC of ``method`` at this level."""
@@ -482,23 +466,17 @@ class BenchmarkReport:
         stats: dict = {}
         config = self.campaign_config()
         for bc in config.beams:
-            beam_id = bc.beam_id
-            stats[beam_id] = {}
-            for name in config.methods:
-                per_mode = []
-                for k in range(config.n_modes):
-                    per_level = {}
-                    for nl_index, level in enumerate(config.noise_levels):
-                        macs = [r.methods[name].modes[k].mac
-                                for r in self.runs_for(beam_id, nl_index)]
+            per_mode = {name: [{} for _ in range(config.n_modes)] for name in config.methods}
+            for nl_index in range(len(config.noise_levels)):
+                runs = self.runs_for(bc.beam_id, nl_index)
+                for name in config.methods:
+                    for k in range(config.n_modes):
+                        macs = [r.methods[name].modes[k].mac for r in runs]
                         if macs:
-                            per_level[nl_index] = {
-                                "min": float(np.min(macs)),
-                                "mean": float(np.mean(macs)),
-                                "std": float(np.std(macs)),
-                            }
-                    per_mode.append(per_level)
-                stats[beam_id][name] = per_mode
+                            per_mode[name][k][nl_index] = {"min": float(np.min(macs)),
+                                                           "mean": float(np.mean(macs)),
+                                                           "std": float(np.std(macs))}
+            stats[bc.beam_id] = per_mode
         return stats
 
     def to_json(self, path) -> None:
@@ -524,27 +502,11 @@ class BenchmarkReport:
 
 
 def _run_to_dict(r: RunResult) -> dict:
-    return {
-        "beam_id": r.beam_id,
-        "noise_level": r.noise_level,
-        "nl_index": r.nl_index,
-        "run_index": r.run_index,
-        "snr_db": list(r.snr_db) if r.snr_db is not None else None,
-        "methods": {
-            name: {
-                "failed": mr.failed,
-                "notes": list(mr.notes),
-                "identified_frequencies": list(mr.identified_frequencies),
-                "modes": [{
-                    "identified": o.identified,
-                    "frequency": o.frequency,
-                    "mac": o.mac,
-                    "rel_err_pct": o.rel_err_pct,
-                    "shape": list(o.shape) if o.shape is not None else None,
-                } for o in mr.modes],
-            } for name, mr in r.methods.items()
-        },
-    }
+    doc = _to_json(r)
+    # A method entry lists its flags first and its per-mode outcomes last.
+    doc["methods"] = {name: {k: m[k] for k in ("failed", "notes", "identified_frequencies", "modes")}
+                      for name, m in doc["methods"].items()}
+    return doc
 
 
 def _run_from_dict(d: dict) -> RunResult:
@@ -561,30 +523,30 @@ def _run_from_dict(d: dict) -> RunResult:
                      tuple(snr) if snr is not None else None, methods)
 
 
-def run_campaign(config: CampaignConfig, jobs: int = 1) -> BenchmarkReport:
+def run_campaign(config: CampaignConfig, jobs: int = 1,
+                 artifacts: dict | None = None) -> BenchmarkReport:
     """Execute the full campaign grid and assemble the report.
 
-    ``jobs > 1`` distributes runs over worker processes; the result order
-    (and therefore the report) is independent of completion order.
+    ``artifacts`` are the simulated beams (:func:`simulate_beams`), made here
+    when not given.  ``jobs > 1`` hands them to worker processes; results
+    keep the task order, so the report is independent of completion order.
     """
-    tasks = _task_list(config)
+    if artifacts is None:
+        artifacts = simulate_beams(config)
+    # (beam, level, run) grid; noise-free levels collapse to a single run.
+    tasks = [(bc.beam_id, nl_index, run) for bc in config.beams
+             for nl_index, level in enumerate(config.noise_levels)
+             for run in range(1 if level == 0 else config.runs)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init,
-                                 initargs=(config.to_dict(),)) as pool:
+                                 initargs=(config, artifacts)) as pool:
             results = list(pool.map(_worker_run, tasks, chunksize=4))
     else:
-        artifacts = {bc.beam_id: simulate_beam(bc, config.master_seed, config.n_modes)
-                     for bc in config.beams}
         results = [run_single(artifacts[b], config, nl, run) for b, nl, run in tasks]
-    order = {bc.beam_id: i for i, bc in enumerate(config.beams)}
-    results.sort(key=lambda r: (order[r.beam_id], r.nl_index, r.run_index))
-    reference = {bc.beam_id: _reference_entry(bc, config.n_modes) for bc in config.beams}
-    failure_counts: dict[str, int] = {}
-    for r in results:
-        for name, mr in r.methods.items():
-            if mr.failed:
-                failure_counts[name] = failure_counts.get(name, 0) + 1
-    return BenchmarkReport(config.to_dict(), reference, tuple(results), failure_counts)
+    reference = {bc.beam_id: _reference_entry(artifacts[bc.beam_id]) for bc in config.beams}
+    failure_counts = Counter(name for r in results
+                             for name, mr in r.methods.items() if mr.failed)
+    return BenchmarkReport(config.to_dict(), reference, tuple(results), dict(failure_counts))
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +561,11 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _level_tag(level: float) -> str:
-    return repr(float(level))
+def _write_csv(path, header: list[str], rows) -> None:
+    """Write the header and then every row, cells joined by commas."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for cells in (header, *rows):
+            fh.write(",".join(cells) + "\n")
 
 
 def summarize_and_tables(report: BenchmarkReport, outdir,
@@ -626,76 +591,58 @@ def summarize_and_tables(report: BenchmarkReport, outdir,
         fh.write("\n")
 
     if artifacts is None:
-        artifacts = {bc.beam_id: simulate_beam(bc, config.master_seed, config.n_modes)
-                     for bc in config.beams}
+        artifacts = simulate_beams(config)
     stats = report.mac_statistics()
-    n_modes = config.n_modes
+    methods, modes = config.methods, range(config.n_modes)
+    levels = range(len(config.noise_levels))
+    tags = [repr(float(level)) for level in config.noise_levels]
+    snrs = [_fmt(math.inf if level == 0 else noise_level_to_snr_db(level))
+            for level in config.noise_levels]
+    # Worst-case run of every (beam, level) cell, shared by all the tables.
+    worst = {(bc.beam_id, nl): report.worst_run(bc.beam_id, nl)
+             for bc in config.beams for nl in levels}
 
     for bc in config.beams:
         beam_id = bc.beam_id
-        worst = {nl: report.worst_run(beam_id, nl) for nl in range(len(config.noise_levels))}
-
-        with open(path(f"table_freq_{beam_id}.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("noise_level,snr_db,method," +
-                     ",".join(f"mode{k+1}_hz" for k in range(n_modes)) + "\n")
-            for nl_index, level in enumerate(config.noise_levels):
-                snr = math.inf if level == 0 else -20.0 * math.log10(level)
-                for name in config.methods:
-                    mr = worst[nl_index].methods[name]
-                    cells = [_fmt(o.frequency if o.identified else None) for o in mr.modes]
-                    fh.write(f"{_level_tag(level)},{_fmt(snr)},{name}," + ",".join(cells) + "\n")
-
-        with open(path(f"table_mac_{beam_id}.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("noise_level,snr_db,method,mode,mac_min,mac_mean,mac_std,mac_worst_run\n")
-            for nl_index, level in enumerate(config.noise_levels):
-                snr = math.inf if level == 0 else -20.0 * math.log10(level)
-                for name in config.methods:
-                    for k in range(n_modes):
-                        cell = stats[beam_id][name][k].get(nl_index)
-                        wmac = worst[nl_index].methods[name].modes[k].mac
-                        fh.write(f"{_level_tag(level)},{_fmt(snr)},{name},{k+1},"
-                                 f"{_fmt(cell['min'])},{_fmt(cell['mean'])},"
-                                 f"{_fmt(cell['std'])},{_fmt(wmac)}\n")
+        _write_csv(path(f"table_freq_{beam_id}.csv"),
+                   ["noise_level", "snr_db", "method"] + [f"mode{k+1}_hz" for k in modes],
+                   ([tags[nl], snrs[nl], name] +
+                    [_fmt(o.frequency if o.identified else None)
+                     for o in worst[beam_id, nl].methods[name].modes]
+                    for nl in levels for name in methods))
+        _write_csv(path(f"table_mac_{beam_id}.csv"),
+                   ["noise_level", "snr_db", "method", "mode",
+                    "mac_min", "mac_mean", "mac_std", "mac_worst_run"],
+                   ([tags[nl], snrs[nl], name, str(k + 1)] +
+                    [_fmt(stats[beam_id][name][k][nl][s]) for s in ("min", "mean", "std")] +
+                    [_fmt(worst[beam_id, nl].methods[name].modes[k].mac)]
+                    for nl in levels for name in methods for k in modes))
 
         # Plot data: ANPSD of the worst run per level, reference + identified shapes.
         art = artifacts[beam_id]
-        for nl_index, level in enumerate(config.noise_levels):
-            wrun = worst[nl_index]
-            if level > 0:
-                spec = NoiseSpec(level, derive_seed(config.master_seed, "noise",
-                                                    beam_id, nl_index, wrun.run_index))
-                noisy, _ = corrupt(art.clean_record, spec)
-            else:
-                noisy = art.clean_record
-            f, p = psd(noisy, config.estimator)
-            curve = anpsd_from_densities(f, p)
-            write_curve_csv(path(f"anpsd_{beam_id}_{_level_tag(level)}.csv"),
+        coords = art.system.channel_coords
+        for nl in levels:
+            wrun = worst[beam_id, nl]
+            noisy, _ = _noisy_record(art, config, nl, wrun.run_index)
+            curve = anpsd_from_densities(*psd(noisy, config.estimator))
+            write_curve_csv(path(f"anpsd_{beam_id}_{tags[nl]}.csv"),
                             curve.frequencies, curve.values)
-            coords = art.system.channel_coords
-            for k in range(n_modes):
+            for k in modes:
                 ref_shape = unit_normalize(art.reference_shapes[:, k])
-                with open(path(f"modeshape_{beam_id}_{k+1}_{_level_tag(level)}.csv"),
-                          "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write("x_m,reference," +
-                             ",".join(m.lower() for m in config.methods) + "\n")
-                    for c in range(coords.size):
-                        cells = [repr(float(coords[c])), repr(float(ref_shape[c]))]
-                        for name in config.methods:
-                            o = wrun.methods[name].modes[k]
-                            cells.append(_fmt(o.shape[c] if o.shape is not None else None))
-                        fh.write(",".join(cells) + "\n")
+                shapes = [wrun.methods[name].modes[k].shape for name in methods]
+                _write_csv(path(f"modeshape_{beam_id}_{k+1}_{tags[nl]}.csv"),
+                           ["x_m", "reference"] + [name.lower() for name in methods],
+                           ([repr(float(coords[c])), repr(float(ref_shape[c]))] +
+                            [_fmt(shape[c] if shape is not None else None) for shape in shapes]
+                            for c in range(coords.size)))
 
-    with open(path("table_err.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("beam,method,mode,mean_rel_err_pct\n")
-        for bc in config.beams:
-            worst = {nl: report.worst_run(bc.beam_id, nl)
-                     for nl in range(len(config.noise_levels))}
-            for name in config.methods:
-                for k in range(n_modes):
-                    errs = [worst[nl].methods[name].modes[k].rel_err_pct
-                            for nl in range(len(config.noise_levels))
-                            if worst[nl].methods[name].modes[k].identified]
-                    val = float(np.mean(errs)) if errs else None
-                    fh.write(f"{bc.beam_id},{name},{k+1},{_fmt(val)}\n")
-
+    rows = []
+    for bc in config.beams:
+        for name in methods:
+            for k in modes:
+                outcomes = [worst[bc.beam_id, nl].methods[name].modes[k] for nl in levels]
+                errs = [o.rel_err_pct for o in outcomes if o.identified]
+                rows.append([bc.beam_id, name, str(k + 1),
+                             _fmt(float(np.mean(errs)) if errs else None)])
+    _write_csv(path("table_err.csv"), ["beam", "method", "mode", "mean_rel_err_pct"], rows)
     return written

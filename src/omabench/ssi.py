@@ -392,13 +392,14 @@ def ssi_identify(record: MultiChannelRecord,
 
     With decimation active, only clusters inside the anti-alias filter
     passband are reported; the full diagram is available through
-    :func:`stabilization`.
+    :func:`stabilization`; ``shape_at`` of the result reads its nearest pole.
     """
     fact = build_hankel(record, options)
     diagram = stabilization(fact, options.resolve_orders(record.n_channels), tol)
     selected, notes = clip_to_passband(diagram.selected, diagram.notes,
                                        record.sample_rate, options)
-    return IdentifiedModeSet("SSI", selected, notes)
+    return IdentifiedModeSet("SSI", selected, notes, lambda f, window: (
+        p.shape if (p := diagram.nearest_pole(f, window)) is not None else None))
 
 
 def write_diagram_csv(path, diagram: StabilizationDiagram) -> None:

@@ -380,23 +380,26 @@ def test_criterion_7_identifier_scaling(acceptance, cf):
 
 
 def test_criterion_7_determinism(acceptance, beam_artifacts, tmp_path):
-    """Identical configs give identical reports and byte-identical tables."""
+    """Identical configs give identical reports and byte-identical tables,
+    serially and in a two-worker pool."""
     cfg = CampaignConfig(beams=(BeamConfig("CF", "CF"),), noise_levels=(0.05,),
                          runs=2, methods=("PP", "SSI"))
     first = run_campaign(cfg, jobs=1)
     second = run_campaign(cfg, jobs=1)
-    same_results = first.results == second.results
-
     arts = {"CF": beam_artifacts["CF"]}
-    dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-    paths = summarize_and_tables(first, dir_a, artifacts=arts)
-    summarize_and_tables(second, dir_b, artifacts=arts)
-    same_files = all(filecmp.cmp(dir_a / p.split("/")[-1], dir_b / p.split("/")[-1],
-                                 shallow=False)
-                     for p in (str(q) for q in paths))
+    pooled = run_campaign(cfg, jobs=2, artifacts=arts)
+    same_results = first.results == second.results == pooled.results
+
+    dirs = [tmp_path / "a", tmp_path / "b", tmp_path / "pooled"]
+    paths = summarize_and_tables(first, dirs[0], artifacts=arts)
+    summarize_and_tables(second, dirs[1], artifacts=arts)
+    summarize_and_tables(pooled, dirs[2], artifacts=arts)
+    names = [p.split("/")[-1] for p in (str(q) for q in paths)]
+    same_files = all(filecmp.cmp(dirs[0] / n, other / n, shallow=False)
+                     for n in names for other in dirs[1:])
     ok = same_results and same_files
     acceptance("7 (determinism)", ok,
-               f"re-run equality {same_results}, {len(paths)} summary files "
-               f"byte-identical {same_files}")
+               f"re-run and jobs=2 equality {same_results}, {len(paths)} summary "
+               f"files byte-identical {same_files}")
     assert same_results
     assert same_files

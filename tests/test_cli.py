@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import filecmp
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -69,9 +72,25 @@ class TestExitCodes:
         assert run_cli(["identify", "--in", missing, "--method", "pp",
                         "--beam", "CF", "--out", str(tmp_path / "o.csv")]) == 2
         bad_cfg = tmp_path / "bad.json"
-        bad_cfg.write_text(json.dumps({"schema_version": "none"}))
-        assert run_cli(["bench", "--config", str(bad_cfg)]) == 2
-        capsys.readouterr()
+        for doc in ({"schema_version": "none"}, {"runz": 3},
+                    {"estimator": {"segmentz": 9}},
+                    {"beams": [{"beam_id": "X", "support": "CF", "spam": 1.0}]}):
+            bad_cfg.write_text(json.dumps(doc))
+            assert run_cli(["bench", "--config", str(bad_cfg)]) == 2, doc
+        err = capsys.readouterr().err
+        assert "unknown config key 'runz'" in err
+        assert "unknown config key 'beams[0].spam'" in err
+
+    def test_module_entry_point(self):
+        """``python -m omabench.cli`` runs the command line."""
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "omabench.cli", "--help"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: omabench")
 
 
 class TestSimulate:
@@ -175,6 +194,25 @@ class TestIdentify:
         for r in rows:
             assert r[2] != "-"
             assert float(r[4]) >= 0.99
+        capsys.readouterr()
+
+    def test_reference_needs_no_transient(self, cf_record_npz, tmp_path, monkeypatch,
+                                          capsys):
+        """The FE reference comes from the modal solution alone."""
+        def no_transient(*args, **kwargs):
+            raise AssertionError("identify must not simulate the beam")
+
+        monkeypatch.setattr("omabench.harness.transient_response", no_transient)
+        out = tmp_path / "modes.csv"
+        assert run_cli(["identify", "--in", str(cf_record_npz), "--method", "fdd",
+                        "--beam", "CF", "--out", str(out)]) == 0
+        assert len(read_mode_table(out)) == 5
+        capsys.readouterr()
+
+    def test_seed_option_removed(self, cf_record_npz, tmp_path, capsys):
+        assert run_cli(["identify", "--in", str(cf_record_npz), "--method", "pp",
+                        "--beam", "CF", "--out", str(tmp_path / "m.csv"),
+                        "--seed", "1"]) == 1
         capsys.readouterr()
 
     def test_reference_frequencies_reported(self, cf_record_npz, tmp_path,

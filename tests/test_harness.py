@@ -10,12 +10,15 @@ from __future__ import annotations
 import filecmp
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
+from omabench.dsp import SpectralEstimatorOptions
 from omabench.harness import (BeamConfig, CampaignConfig, BenchmarkReport,
                               run_campaign, run_single, summarize_and_tables)
+from omabench.ssi import HankelOptions, StabilityTolerances
 
 from conftest import CAMPAIGN_LEVELS, MASTER_SEED
 
@@ -32,6 +35,32 @@ class TestConfig:
         config = small_config(runs=3, methods=("PP", "SSI"))
         back = CampaignConfig.from_dict(config.to_dict())
         assert back.to_dict() == config.to_dict()
+
+    def test_round_trip_non_default(self):
+        """Every section survives a JSON round trip unchanged."""
+        config = small_config(
+            beams=(BeamConfig("A", "SS", duration=2.0, force_band=(2.0, 900.0)),
+                   BeamConfig("B", "CC", n_elements=12)),
+            noise_levels=(0.0, 0.3), runs=4, n_modes=3, f_window=0.08,
+            mac_threshold=0.9, estimator=SpectralEstimatorOptions("hann", 5, 0.25),
+            hankel=HankelOptions(block_rows=8, orders=(4, 8, 12), integrate=1),
+            stability=StabilityTolerances(freq_rel=0.02, min_cluster_size=2),
+            output_dir="elsewhere")
+        doc = json.loads(json.dumps(config.to_dict()))
+        assert CampaignConfig.from_dict(doc) == config
+
+    def test_partial_sections_merge_over_campaign_defaults(self):
+        """A partial section changes only the entries it names."""
+        est = CampaignConfig.from_dict({"estimator": {"segments": 9}}).estimator
+        assert est == SpectralEstimatorOptions("hann", 9, 0.5)
+        peaks = CampaignConfig.from_dict({"peaks": {"min_separation_hz": 3.0}}).peaks
+        assert peaks.prominence_db == 4.5
+        assert peaks.min_separation_hz == 3.0
+        config = CampaignConfig.from_dict({"ssi": {"block_rows": 12, "mac_min": 0.9}})
+        assert config.hankel == HankelOptions(block_rows=12)
+        assert config.stability == StabilityTolerances(mac_min=0.9)
+        pairing = CampaignConfig.from_dict({"pairing": {"mac_threshold": 0.8}})
+        assert (pairing.f_window, pairing.mac_threshold) == (0.05, 0.8)
 
     def test_partial_dict_fills_defaults(self):
         config = CampaignConfig.from_dict({"runs": 2})
@@ -58,10 +87,26 @@ class TestConfig:
             small_config(beams=(BeamConfig("CF", "CF"), BeamConfig("CF", "CF")))
         with pytest.raises(ValueError):
             CampaignConfig.from_dict({"schema_version": "0"})
+        unknown = [({"runz": 3}, "runz"),
+                   ({"f_window": 0.1}, "f_window"),
+                   ({"estimator": {"segmentz": 9}}, "estimator.segmentz"),
+                   ({"pairing": {"window": 0.1}}, "pairing.window"),
+                   ({"ssi": {"block_row": 12}}, "ssi.block_row"),
+                   ({"beams": [{"beam_id": "X", "support": "CF", "spam": 1.0}]},
+                    "beams[0].spam")]
+        for doc, key in unknown:
+            with pytest.raises(ValueError, match=re.escape(repr(key))):
+                CampaignConfig.from_dict(doc)
+        with pytest.raises(ValueError):
+            CampaignConfig.from_dict({"beams": [{"beam_id": "X"}]})
+        with pytest.raises(ValueError):
+            CampaignConfig.from_dict({"ssi": 12})
 
     def test_beam_config_round_trip(self):
         bc = BeamConfig("demo", "SS", duration=2.0, force_rms=0.5)
-        assert BeamConfig.from_dict(bc.to_dict()) == bc
+        doc = small_config(beams=(bc,)).to_dict()
+        assert doc["beams"][0]["force_band"] == [1.0, 1500.0]
+        assert CampaignConfig.from_dict(doc).beams == (bc,)
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +146,27 @@ class TestRunSingle:
         assert len(result.snr_db) == cf.clean_record.n_channels
         for db in result.snr_db:
             assert db == pytest.approx(-6.02, abs=0.3)
+
+    def test_identifier_errors_recorded(self, cf, config, monkeypatch):
+        """Numerical errors become failed results; the other methods still run."""
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr("omabench.harness.ssi_identify", broken)
+        result = run_single(cf, config, 1, 0)
+        ssi = result.methods["SSI"]
+        assert ssi.failed
+        assert ssi.notes == ("failed: LinAlgError: SVD did not converge",)
+        assert not any(o.identified for o in ssi.modes)
+        assert not result.methods["PP"].failed
+
+    def test_programming_errors_propagate(self, cf, config, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bad call")
+
+        monkeypatch.setattr("omabench.harness.ssi_identify", broken)
+        with pytest.raises(TypeError):
+            run_single(cf, config, 1, 0)
 
     def test_deterministic(self, cf, config):
         a = run_single(cf, config, 1, 3)
