@@ -9,8 +9,8 @@ simply supported (SS), clamped-simply supported (CS) and clamped-clamped
 Measurement channels are the free vertical translation DOFs, ordered by node
 number; transient analysis returns accelerations at those channels computed
 by modal superposition with the exact piecewise-linear-excitation recurrence,
-so the integrator adds no algorithmic damping or period distortion at any
-step size.
+evaluated as one second-order IIR filter per mode, so the integrator adds no
+algorithmic damping or period distortion at any step size.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.signal import lfilter
 
 from .dsp import MultiChannelRecord
 
@@ -401,16 +402,27 @@ def _modal_superposition(omega: np.ndarray, zeta: float, modal_forces: np.ndarra
 
     ``modal_forces`` has shape ``(n_modes, n_samples)`` with
     ``n_samples >= n_out``; the system starts from rest.
+
+    The recurrence of :func:`_recurrence_coefficients` is a time-invariant
+    2x2 state update ``x+ = M x + C p0 + D p1`` per mode, so ``q`` and ``q'``
+    are each a second-order IIR filter of the modal force.  The denominator
+    is ``det(zI - M)``; the numerators are the rows of ``adj(zI - M)(C + D z)``.
+    The initial filter states cancel the feed-through ``D p[0]``, so both
+    histories are zero at sample 0 whatever the first force sample.
     """
     a, b, cc, dd, a1, b1, c1, d1 = _recurrence_coefficients(omega, zeta, dt)
-    nm = omega.size
-    q = np.zeros((nm, n_out))
-    qd = np.zeros((nm, n_out))
-    p = modal_forces
-    for i in range(n_out - 1):
-        q[:, i + 1] = a * q[:, i] + b * qd[:, i] + cc * p[:, i] + dd * p[:, i + 1]
-        qd[:, i + 1] = a1 * q[:, i] + b1 * qd[:, i] + c1 * p[:, i] + d1 * p[:, i + 1]
-    qdd = p[:, :n_out] - 2.0 * zeta * omega[:, None] * qd - (omega ** 2)[:, None] * q
+    p = modal_forces[:, :n_out]
+    den = np.stack([np.ones_like(a), -(a + b1), a * b1 - b * a1], axis=1)
+    num_q = np.stack([dd, cc - b1 * dd + b * d1, b * c1 - b1 * cc], axis=1)
+    num_qd = np.stack([d1, c1 - a * d1 + a1 * dd, a1 * cc - a * c1], axis=1)
+    zi_q = np.stack([-dd, b1 * dd - b * d1], axis=1) * p[:, :1]
+    zi_qd = np.stack([-d1, a * d1 - a1 * dd], axis=1) * p[:, :1]
+    q = np.empty(p.shape)
+    qd = np.empty(p.shape)
+    for m in range(omega.size):
+        q[m] = lfilter(num_q[m], den[m], p[m], zi=zi_q[m])[0]
+        qd[m] = lfilter(num_qd[m], den[m], p[m], zi=zi_qd[m])[0]
+    qdd = p - 2.0 * zeta * omega[:, None] * qd - (omega ** 2)[:, None] * q
     return q, qd, qdd
 
 

@@ -290,11 +290,14 @@ def pp_identify(record: MultiChannelRecord,
                            lambda f, _window: pp_shape_at(g, ref, f))
 
 
+def _first_singular_values(values: np.ndarray) -> np.ndarray:
+    """First singular value of each Hermitian CSD line of ``values``."""
+    return np.maximum(np.linalg.eigvalsh(values)[:, -1], 0.0)
+
+
 def singular_value_curve(spectral: SpectralMatrix) -> tuple[np.ndarray, np.ndarray]:
     """First singular value of the CSD matrix at every frequency line."""
-    vals = np.linalg.eigvalsh(spectral.values)
-    s1 = np.maximum(vals[:, -1], 0.0)
-    return spectral.frequencies, s1
+    return spectral.frequencies, _first_singular_values(spectral.values)
 
 
 def fdd_shape_at(spectral: SpectralMatrix, frequency: float) -> np.ndarray:
@@ -311,14 +314,20 @@ def fdd_identify(record: MultiChannelRecord,
                  spectral: SpectralMatrix | None = None) -> IdentifiedModeSet:
     """Frequency-domain decomposition of a record.
 
-    The CSD matrix is decomposed line by line; peaks of the first singular
-    value are the candidate modes and the corresponding singular vectors,
-    rotated to their dominant-real alignment, are the shapes.  The ratio of
-    the second to the first singular value at each peak is kept as a
-    rank-one quality indicator.
+    The CSD matrix is decomposed line by line over the search band; peaks
+    of the first singular value are the candidate modes and the
+    corresponding singular vectors, rotated to their dominant-real
+    alignment, are the shapes.  The ratio of the second to the first
+    singular value at each peak is kept as a rank-one quality indicator.
     """
     g = spectral if spectral is not None else csd_matrix(record, estimator)
-    freqs, s1 = singular_value_curve(g)
+    # pick_peaks reads the search band and one line on each side of it only.
+    freqs = g.frequencies
+    sel = np.nonzero((freqs >= peaks.band[0]) & (freqs <= peaks.band[1]))[0]
+    s1 = np.zeros(freqs.size)
+    if sel.size:
+        lo, hi = max(sel[0] - 1, 0), sel[-1] + 2
+        s1[lo:hi] = _first_singular_values(g.values[lo:hi])
     found = pick_peaks(freqs, s1, peaks)
     modes = []
     for pk in found:

@@ -167,6 +167,8 @@ class CampaignConfig:
         Omitted keys, and omitted entries of a section, keep the campaign
         defaults; an unknown key raises ``ValueError``.
         """
+        if not isinstance(d, dict):
+            raise ValueError("a config must be a JSON object")
         doc = dict(d)
         version = doc.pop("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
@@ -175,10 +177,12 @@ class CampaignConfig:
             if key not in _KEY_ORDER:
                 raise ValueError(f"unknown config key {key!r}")
         base = cls()
+        shown = {}  # JSON path of each field a section holds
         for key, members in _SECTIONS.items():
             section = dict(_object(doc.pop(key, {}), key))
             for name in members:
                 value = getattr(base, name)
+                shown[name] = key if is_dataclass(value) else f"{key}.{name}"
                 if is_dataclass(value):
                     doc[name] = {f.name: section.pop(f.name)
                                  for f in fields(value) if f.name in section}
@@ -187,9 +191,10 @@ class CampaignConfig:
             if section:
                 raise ValueError(f"unknown config key {key + '.' + next(iter(section))!r}")
         if "beams" in doc:
-            doc["beams"] = tuple(_beam_from_json(b, f"beams[{i}].")
-                                 for i, b in enumerate(doc["beams"]))
-        return _merge(base, doc)
+            if not isinstance(doc["beams"], list):
+                raise ValueError("config key 'beams' must be a list")
+            doc["beams"] = [_beam_from_json(b, f"beams[{i}].") for i, b in enumerate(doc["beams"])]
+        return _merge(base, doc, shown=shown)
 
 
 # Top-level keys of a campaign config's JSON form, in output order.  A key in
@@ -217,20 +222,54 @@ def _object(value, where: str) -> dict:
     return value
 
 
-def _merge(base, doc: dict, where: str = ""):
+# JSON value checks by the leading name of a field's annotation.
+_JSON_KINDS = {
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _check_json_type(annotation: str, value, where: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is JSON of the annotated field type.
+
+    A ``tuple[X, ...]`` field takes a list, whose items are checked when X
+    is a kind above; a ``T | None`` field also takes null.
+    """
+    if value is None and annotation.endswith(" | None"):
+        return
+    kind, _, items = annotation.removesuffix(" | None").partition("[")
+    if kind == "tuple":
+        if not isinstance(value, list):
+            raise ValueError(f"config key {where!r} must be a list")
+        item_kind = items.split(",")[0]
+        if item_kind in _JSON_KINDS:
+            for i, item in enumerate(value):
+                _check_json_type(item_kind, item, f"{where}[{i}]")
+    elif kind in _JSON_KINDS and not _JSON_KINDS[kind][1](value):
+        raise ValueError(f"config key {where!r} must be {_JSON_KINDS[kind][0]}")
+
+
+def _merge(base, doc: dict, where: str = "", shown: dict | None = None):
     """``base`` with the fields named in ``doc`` replaced by their JSON values.
 
     Dataclass fields merge recursively, so a partial section keeps the rest
-    of ``base``; lists become tuples; a key that names no field is an error.
+    of ``base``; lists become tuples; a key that names no field, or a value
+    of the wrong JSON type, is an error.  Errors name a field by its path
+    after ``where``, or by ``shown[field]`` when given.
     """
-    names = {f.name for f in fields(base)}
+    annotations = {f.name: f.type for f in fields(base)}
     changes = {}
     for key, value in doc.items():
-        if key not in names:
+        if key not in annotations:
             raise ValueError(f"unknown config key {where + key!r}")
         current = getattr(base, key)
+        path = where + (shown or {}).get(key, key)
         if is_dataclass(current):
-            value = _merge(current, _object(value, where + key), f"{where}{key}.")
+            value = _merge(current, _object(value, path), path + ".")
+        else:
+            _check_json_type(annotations[key], value, path)
         changes[key] = tuple(value) if isinstance(value, list) else value
     return replace(base, **changes)
 
@@ -463,6 +502,10 @@ class BenchmarkReport:
 
     def mac_statistics(self) -> dict:
         """min/mean/std of the per-run MAC per (beam, method, mode, level)."""
+        return self._mac_statistics
+
+    @cached_property
+    def _mac_statistics(self) -> dict:
         stats: dict = {}
         config = self.campaign_config()
         for bc in config.beams:

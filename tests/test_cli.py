@@ -74,12 +74,15 @@ class TestExitCodes:
         bad_cfg = tmp_path / "bad.json"
         for doc in ({"schema_version": "none"}, {"runz": 3},
                     {"estimator": {"segmentz": 9}},
-                    {"beams": [{"beam_id": "X", "support": "CF", "spam": 1.0}]}):
+                    {"beams": [{"beam_id": "X", "support": "CF", "spam": 1.0}]},
+                    {"runs": "3"}, {"beams": 5}):
             bad_cfg.write_text(json.dumps(doc))
             assert run_cli(["bench", "--config", str(bad_cfg)]) == 2, doc
         err = capsys.readouterr().err
         assert "unknown config key 'runz'" in err
         assert "unknown config key 'beams[0].spam'" in err
+        assert "config key 'runs' must be an integer" in err
+        assert "config key 'beams' must be a list" in err
 
     def test_module_entry_point(self):
         """``python -m omabench.cli`` runs the command line."""

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from omabench.dsp import (MultiChannelRecord, SpectralEstimatorOptions,
-                          SpectralMatrix, gaussian_white, psd)
+                          SpectralMatrix, csd_matrix, gaussian_white, psd)
 from omabench.freqdom import (PeakOptions, align_to_real, anpsd,
                               anpsd_from_densities, fdd_identify, fdd_shape_at,
                               pick_peaks, pp_identify, singular_value_curve,
@@ -302,6 +302,28 @@ class TestFddIdentify:
         assert pairing.matches[0] is None
         for m in pairing.matches[1:]:
             assert m is not None and m[2] >= 0.95
+
+    @pytest.mark.parametrize("band", [CAMPAIGN.peaks.band, (0.0, 300.0)])
+    def test_band_slice_matches_full_curve(self, noisy_record, band):
+        """Decomposing only the search band changes no bit of the result.
+
+        The reference picks peaks on the full-grid singular value curve and
+        takes each shape and second-to-first singular value ratio there.
+        """
+        peaks = PeakOptions(CAMPAIGN.peaks.prominence_db, CAMPAIGN.peaks.min_separation_hz, band)
+        g = csd_matrix(noisy_record("CF", 0.5), CAMPAIGN.estimator)
+        freqs, s1 = singular_value_curve(g)
+        expected = []
+        for pk in pick_peaks(freqs, s1, peaks):
+            vals, vecs = np.linalg.eigh(g.values[pk.bin_index])
+            expected.append((pk.frequency, unit_normalize(align_to_real(vecs[:, -1])),
+                             max(float(vals[-2]), 0.0) / float(vals[-1])))
+        mode_set = fdd_identify(None, peaks=peaks, spectral=g)
+        assert len(mode_set.modes) == len(expected) >= 5
+        for mode, (f, shape, ratio) in zip(mode_set.modes, expected):
+            assert mode.frequency == f
+            np.testing.assert_array_equal(mode.shape, shape)
+            assert mode.quality["sv_ratio"] == ratio
 
     def test_sv_ratio_quality_recorded(self, cf):
         mode_set = fdd_identify(cf.clean_record, CAMPAIGN.estimator, CAMPAIGN.peaks)

@@ -101,6 +101,23 @@ class TestConfig:
             CampaignConfig.from_dict({"beams": [{"beam_id": "X"}]})
         with pytest.raises(ValueError):
             CampaignConfig.from_dict({"ssi": 12})
+        wrong_type = [({"runs": "3"}, "'runs' must be an integer"),
+                      ({"runs": True}, "'runs' must be an integer"),
+                      ({"beams": 5}, "'beams' must be a list"),
+                      ({"noise_levels": 0.5}, "'noise_levels' must be a list"),
+                      ({"noise_levels": [0.5, "1"]}, "'noise_levels[1]' must be a number"),
+                      ({"pairing": {"f_window": "0.1"}}, "'pairing.f_window' must be a number"),
+                      ({"estimator": {"segments": 9.0}}, "'estimator.segments' must be an integer"),
+                      ({"ssi": {"detrend": 1}}, "'ssi.detrend' must be a boolean"),
+                      ({"ssi": {"orders": [2, "4"]}}, "'ssi.orders[1]' must be an integer"),
+                      ({"beams": [{"beam_id": "X", "support": "CF", "span": "1"}]},
+                       "'beams[0].span' must be a number")]
+        for doc, message in wrong_type:
+            with pytest.raises(ValueError, match=re.escape(f"config key {message}")):
+                CampaignConfig.from_dict(doc)
+        ok = CampaignConfig.from_dict({"runs": 3, "pairing": {"f_window": 1},
+                                       "ssi": {"orders": None}})
+        assert (ok.runs, ok.f_window, ok.hankel.orders) == (3, 1, None)
 
     def test_beam_config_round_trip(self):
         bc = BeamConfig("demo", "SS", duration=2.0, force_rms=0.5)
@@ -228,6 +245,10 @@ class TestReportStatistics:
                     for cell in per_level.values():
                         assert 0.0 <= cell["min"] <= cell["mean"] <= 1.0
                         assert cell["std"] >= 0.0
+
+    def test_statistics_computed_once(self, cf_campaign):
+        """The tables and report.json of one emission share one computation."""
+        assert cf_campaign.mac_statistics() is cf_campaign.mac_statistics()
 
     def test_statistics_recomputable_from_runs(self, cf_campaign):
         """Published statistics equal a direct recomputation from the runs."""
