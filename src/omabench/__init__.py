@@ -21,9 +21,10 @@ from .harness import (BeamConfig, BenchmarkReport, CampaignConfig, DEFAULT_SEED,
                       ModeOutcome, MethodResult, RunResult, default_beams,
                       run_campaign, run_single, simulate_beam,
                       summarize_and_tables)
-from .metrics import ModePairing, mac, pair_to_reference, relative_error
+from .metrics import (ModePairing, PairingOptions, mac, pair_to_reference,
+                      relative_error)
 from .noise import NoiseSpec, SnrReport, corrupt, make_noise, noise_level_to_snr_db
-from .ssi import (HankelOptions, StabilityTolerances, StabilizationDiagram,
-                  build_hankel, realize_modes, ssi_identify, stabilization)
+from .ssi import (SsiOptions, StabilizationDiagram, build_hankel, realize_modes,
+                  ssi_identify, stabilization)
 
 __version__ = "0.1.0"

@@ -74,9 +74,11 @@ def _build_parser() -> _Parser:
                      help="support configuration / beam id")
     sim.add_argument("--out", required=True, help="output record (.csv or .npz)")
     sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sim.add_argument("--duration", type=float, default=5.0, help="record length [s]")
-    sim.add_argument("--dt", type=float, default=1.0e-4, help="time step [s]")
-    sim.add_argument("--elements", type=int, default=10, help="finite elements")
+    sim.add_argument("--duration", type=float, default=BeamConfig.duration,
+                     help="record length [s]")
+    sim.add_argument("--dt", type=float, default=BeamConfig.dt, help="time step [s]")
+    sim.add_argument("--elements", type=int, default=BeamConfig.n_elements,
+                     help="finite elements")
 
     cor = sub.add_parser("corrupt", help="add RMS-scaled Gaussian noise to a record")
     cor.add_argument("--in", dest="infile", required=True)
@@ -90,7 +92,8 @@ def _build_parser() -> _Parser:
     idf.add_argument("--beam", required=True, choices=SUPPORTS,
                      help="beam whose FE modes serve as reference")
     idf.add_argument("--out", required=True, help="output mode table (.csv)")
-    idf.add_argument("--modes", type=int, default=5, help="reference modes to pair")
+    idf.add_argument("--modes", type=int, default=CampaignConfig.n_modes,
+                     help="reference modes to pair")
 
     ben = sub.add_parser("bench", help="run the Monte Carlo campaign from a config file")
     ben.add_argument("--config", required=True, help="campaign config (JSON)")

@@ -25,9 +25,9 @@ from .dsp import (MultiChannelRecord, SpectralEstimatorOptions, band_limited_for
                   csd_matrix, derive_seed, psd)
 from .freqdom import (IdentifiedModeSet, PeakOptions, anpsd_from_densities,
                       fdd_identify, pp_identify, unit_normalize, write_curve_csv)
-from .metrics import mac, pair_to_reference, relative_error
+from .metrics import PairingOptions, mac, pair_to_reference, relative_error
 from .noise import NoiseSpec, corrupt, noise_level_to_snr_db
-from .ssi import HankelOptions, StabilityTolerances, ssi_identify
+from .ssi import SsiOptions, ssi_identify
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -118,21 +118,22 @@ def _campaign_peaks() -> PeakOptions:
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Fully resolved campaign settings (see :func:`CampaignConfig.from_dict`)."""
+    """Fully resolved campaign settings (see :func:`CampaignConfig.from_dict`).
 
-    beams: tuple[BeamConfig, ...] = field(default_factory=default_beams)
-    noise_levels: tuple[float, ...] = DEFAULT_NOISE_LEVELS
-    runs: int = 20
-    methods: tuple[str, ...] = METHOD_NAMES
+    The field order and nesting are those of the JSON form.
+    """
+
     master_seed: int = DEFAULT_SEED
+    runs: int = 20
+    noise_levels: tuple[float, ...] = DEFAULT_NOISE_LEVELS
+    methods: tuple[str, ...] = METHOD_NAMES
     n_modes: int = 5
-    f_window: float = 0.05
-    mac_threshold: float = 0.95
+    pairing: PairingOptions = field(default_factory=PairingOptions)
     estimator: SpectralEstimatorOptions = field(default_factory=_campaign_estimator)
     peaks: PeakOptions = field(default_factory=_campaign_peaks)
-    hankel: HankelOptions = field(default_factory=HankelOptions)
-    stability: StabilityTolerances = field(default_factory=StabilityTolerances)
+    ssi: SsiOptions = field(default_factory=SsiOptions)
     output_dir: str = "bench_out"
+    beams: tuple[BeamConfig, ...] = field(default_factory=default_beams)
 
     def __post_init__(self):
         if not self.beams:
@@ -152,13 +153,7 @@ class CampaignConfig:
             raise ValueError("n_modes must be >= 1")
 
     def to_dict(self) -> dict:
-        doc = _to_json(self)
-        for key, members in _SECTIONS.items():
-            doc[key] = {}
-            for name in members:
-                part = doc.pop(name)
-                doc[key].update(part if isinstance(part, dict) else {name: part})
-        return {"schema_version": SCHEMA_VERSION, **{key: doc[key] for key in _KEY_ORDER}}
+        return {"schema_version": SCHEMA_VERSION, **_to_json(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CampaignConfig":
@@ -173,36 +168,9 @@ class CampaignConfig:
         version = doc.pop("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema_version {version}")
-        for key in doc:
-            if key not in _KEY_ORDER:
-                raise ValueError(f"unknown config key {key!r}")
-        base = cls()
-        shown = {}  # JSON path of each field a section holds
-        for key, members in _SECTIONS.items():
-            section = dict(_object(doc.pop(key, {}), key))
-            for name in members:
-                value = getattr(base, name)
-                shown[name] = key if is_dataclass(value) else f"{key}.{name}"
-                if is_dataclass(value):
-                    doc[name] = {f.name: section.pop(f.name)
-                                 for f in fields(value) if f.name in section}
-                elif name in section:
-                    doc[name] = section.pop(name)
-            if section:
-                raise ValueError(f"unknown config key {key + '.' + next(iter(section))!r}")
-        if "beams" in doc:
-            if not isinstance(doc["beams"], list):
-                raise ValueError("config key 'beams' must be a list")
+        if isinstance(doc.get("beams"), list):
             doc["beams"] = [_beam_from_json(b, f"beams[{i}].") for i, b in enumerate(doc["beams"])]
-        return _merge(base, doc, shown=shown)
-
-
-# Top-level keys of a campaign config's JSON form, in output order.  A key in
-# _SECTIONS groups the fields it lists, a dataclass field contributing its
-# own fields; every other key holds the field of the same name.
-_KEY_ORDER = ("master_seed", "runs", "noise_levels", "methods", "n_modes", "pairing",
-              "estimator", "peaks", "ssi", "output_dir", "beams")
-_SECTIONS = {"pairing": ("f_window", "mac_threshold"), "ssi": ("hankel", "stability")}
+        return _merge(cls(), doc)
 
 
 def _to_json(value):
@@ -251,13 +219,13 @@ def _check_json_type(annotation: str, value, where: str) -> None:
         raise ValueError(f"config key {where!r} must be {_JSON_KINDS[kind][0]}")
 
 
-def _merge(base, doc: dict, where: str = "", shown: dict | None = None):
+def _merge(base, doc: dict, where: str = ""):
     """``base`` with the fields named in ``doc`` replaced by their JSON values.
 
     Dataclass fields merge recursively, so a partial section keeps the rest
     of ``base``; lists become tuples; a key that names no field, or a value
     of the wrong JSON type, is an error.  Errors name a field by its path
-    after ``where``, or by ``shown[field]`` when given.
+    after ``where``.
     """
     annotations = {f.name: f.type for f in fields(base)}
     changes = {}
@@ -265,7 +233,7 @@ def _merge(base, doc: dict, where: str = "", shown: dict | None = None):
         if key not in annotations:
             raise ValueError(f"unknown config key {where + key!r}")
         current = getattr(base, key)
-        path = where + (shown or {}).get(key, key)
+        path = where + key
         if is_dataclass(current):
             value = _merge(current, _object(value, path), path + ".")
         else:
@@ -293,7 +261,7 @@ class BeamArtifacts:
     clean_record: MultiChannelRecord | None = None  # None from fe_reference()
 
 
-def fe_reference(bc: BeamConfig, n_modes: int = 5) -> BeamArtifacts:
+def fe_reference(bc: BeamConfig, n_modes: int = CampaignConfig.n_modes) -> BeamArtifacts:
     """Assemble and solve one beam and keep its lowest FE modes; no transient."""
     model = bc.model()
     system = assemble_model(model)
@@ -305,7 +273,8 @@ def fe_reference(bc: BeamConfig, n_modes: int = 5) -> BeamArtifacts:
                          modal.channel_shapes(system)[:, :n_modes])
 
 
-def simulate_beam(bc: BeamConfig, master_seed: int, n_modes: int = 5) -> BeamArtifacts:
+def simulate_beam(bc: BeamConfig, master_seed: int,
+                  n_modes: int = CampaignConfig.n_modes) -> BeamArtifacts:
     """Assemble, solve and simulate one beam with derived excitation seeds.
 
     Every free vertical DOF is driven by an independent band-limited force;
@@ -347,10 +316,10 @@ class ModeOutcome:
 
 @dataclass(frozen=True)
 class MethodResult:
-    modes: tuple[ModeOutcome, ...]
+    failed: bool
+    notes: tuple[str, ...]
     identified_frequencies: tuple[float, ...]
-    notes: tuple[str, ...] = ()
-    failed: bool = False
+    modes: tuple[ModeOutcome, ...]
 
 
 @dataclass(frozen=True)
@@ -367,7 +336,7 @@ class RunResult:
 _IDENTIFIERS = {
     "PP": lambda rec, cfg, g: pp_identify(rec, cfg.estimator, cfg.peaks, spectral=g),
     "FDD": lambda rec, cfg, g: fdd_identify(rec, cfg.estimator, cfg.peaks, spectral=g),
-    "SSI": lambda rec, cfg, g: ssi_identify(rec, cfg.hankel, cfg.stability),
+    "SSI": lambda rec, cfg, g: ssi_identify(rec, cfg.ssi),
 }
 
 
@@ -375,7 +344,7 @@ def _score_method(mode_set: IdentifiedModeSet, ref_freqs, ref_shapes,
                   config: CampaignConfig) -> MethodResult:
     """Pair to the reference; score unpaired modes by the set's own shape extractor."""
     pairing = pair_to_reference(mode_set.frequencies, mode_set.shapes, ref_freqs, ref_shapes,
-                                config.f_window, config.mac_threshold)
+                                config.pairing)
     outcomes = []
     for k, match in enumerate(pairing.matches):
         if match is not None:
@@ -385,12 +354,11 @@ def _score_method(mode_set: IdentifiedModeSet, ref_freqs, ref_shapes,
                                         relative_error(freq, float(ref_freqs[k])),
                                         tuple(float(x) for x in shape)))
         else:
-            shape = mode_set.shape_at(float(ref_freqs[k]), config.f_window)
+            shape = mode_set.shape_at(float(ref_freqs[k]), config.pairing.f_window)
             m = mac(shape, ref_shapes[:, k]) if shape is not None else 0.0
             outcomes.append(ModeOutcome(False, None, m, None, None))
-    return MethodResult(tuple(outcomes),
-                        tuple(float(f) for f in mode_set.frequencies),
-                        mode_set.notes)
+    return MethodResult(False, mode_set.notes,
+                        tuple(float(f) for f in mode_set.frequencies), tuple(outcomes))
 
 
 def _noisy_record(artifacts: BeamArtifacts, config: CampaignConfig,
@@ -424,7 +392,7 @@ def run_single(artifacts: BeamArtifacts, config: CampaignConfig,
         except (ValueError, np.linalg.LinAlgError) as exc:  # identifier failure: record it
             empty = (ModeOutcome(False, None, 0.0, None, None),) * ref_f.size
             note = f"failed: {type(exc).__name__}: {exc}"
-            methods[name] = MethodResult(empty, (), (note,), True)
+            methods[name] = MethodResult(True, (note,), (), empty)
     return RunResult(artifacts.config.beam_id, config.noise_levels[nl_index], nl_index,
                      run_index, snr_db, methods)
 
@@ -461,13 +429,15 @@ def _reference_entry(art: BeamArtifacts) -> dict:
 class BenchmarkReport:
     """Everything a campaign produced, JSON round-trippable."""
 
-    config: dict
+    config: CampaignConfig
     reference: dict
     results: tuple[RunResult, ...]
-    failure_counts: dict
 
-    def campaign_config(self) -> CampaignConfig:
-        return CampaignConfig.from_dict(self.config)
+    @cached_property
+    def failure_counts(self) -> dict:
+        """Failed identifier runs per method."""
+        return dict(Counter(name for r in self.results
+                            for name, mr in r.methods.items() if mr.failed))
 
     @cached_property
     def _cells(self) -> dict:
@@ -489,17 +459,6 @@ class BenchmarkReport:
         return min(runs, key=lambda r: (min(o.mac for o in r.methods[method].modes),
                                         r.run_index))
 
-    def worst_run_per_beam(self, method: str = "PP") -> dict:
-        """Global worst-case pointer per beam: (nl_index, run_index)."""
-        out = {}
-        for beam_id in {r.beam_id for r in self.results}:
-            runs = [r for r in self.results if r.beam_id == beam_id]
-            method_eff = method if method in runs[0].methods else next(iter(runs[0].methods))
-            worst = min(runs, key=lambda r: (min(o.mac for o in r.methods[method_eff].modes),
-                                             r.nl_index, r.run_index))
-            out[beam_id] = (worst.nl_index, worst.run_index)
-        return out
-
     def mac_statistics(self) -> dict:
         """min/mean/std of the per-run MAC per (beam, method, mode, level)."""
         return self._mac_statistics
@@ -507,7 +466,7 @@ class BenchmarkReport:
     @cached_property
     def _mac_statistics(self) -> dict:
         stats: dict = {}
-        config = self.campaign_config()
+        config = self.config
         for bc in config.beams:
             per_mode = {name: [{} for _ in range(config.n_modes)] for name in config.methods}
             for nl_index in range(len(config.noise_levels)):
@@ -525,11 +484,11 @@ class BenchmarkReport:
     def to_json(self, path) -> None:
         doc = {
             "schema_version": SCHEMA_VERSION,
-            "config": self.config,
+            "config": self.config.to_dict(),
             "reference": self.reference,
             "failure_counts": self.failure_counts,
             "mac_statistics": self.mac_statistics(),
-            "results": [_run_to_dict(r) for r in self.results],
+            "results": [_to_json(r) for r in self.results],
         }
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(doc, fh, indent=1)
@@ -540,16 +499,7 @@ class BenchmarkReport:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         results = tuple(_run_from_dict(d) for d in doc["results"])
-        return cls(doc["config"], doc["reference"], results,
-                   doc.get("failure_counts", {}))
-
-
-def _run_to_dict(r: RunResult) -> dict:
-    doc = _to_json(r)
-    # A method entry lists its flags first and its per-mode outcomes last.
-    doc["methods"] = {name: {k: m[k] for k in ("failed", "notes", "identified_frequencies", "modes")}
-                      for name, m in doc["methods"].items()}
-    return doc
+        return cls(CampaignConfig.from_dict(doc["config"]), doc["reference"], results)
 
 
 def _run_from_dict(d: dict) -> RunResult:
@@ -559,8 +509,8 @@ def _run_from_dict(d: dict) -> RunResult:
                                   o["rel_err_pct"],
                                   tuple(o["shape"]) if o["shape"] is not None else None)
                       for o in md["modes"])
-        methods[name] = MethodResult(modes, tuple(md["identified_frequencies"]),
-                                     tuple(md["notes"]), md["failed"])
+        methods[name] = MethodResult(md["failed"], tuple(md["notes"]),
+                                     tuple(md["identified_frequencies"]), modes)
     snr = d["snr_db"]
     return RunResult(d["beam_id"], d["noise_level"], d["nl_index"], d["run_index"],
                      tuple(snr) if snr is not None else None, methods)
@@ -587,9 +537,7 @@ def run_campaign(config: CampaignConfig, jobs: int = 1,
     else:
         results = [run_single(artifacts[b], config, nl, run) for b, nl, run in tasks]
     reference = {bc.beam_id: _reference_entry(artifacts[bc.beam_id]) for bc in config.beams}
-    failure_counts = Counter(name for r in results
-                             for name, mr in r.methods.items() if mr.failed)
-    return BenchmarkReport(config.to_dict(), reference, tuple(results), dict(failure_counts))
+    return BenchmarkReport(config, reference, tuple(results))
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +567,7 @@ def summarize_and_tables(report: BenchmarkReport, outdir,
     each (beam, level) cell, selected by the minimum per-mode MAC of the
     first configured method (PP when present).  Returns the written paths.
     """
-    config = report.campaign_config()
+    config = report.config
     os.makedirs(outdir, exist_ok=True)
     written = []
 
@@ -630,7 +578,7 @@ def summarize_and_tables(report: BenchmarkReport, outdir,
 
     report.to_json(path("report.json"))
     with open(path("config_resolved.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report.config, fh, indent=1)
+        json.dump(config.to_dict(), fh, indent=1)
         fh.write("\n")
 
     if artifacts is None:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ModePairing", "mac", "pair_to_reference", "relative_error"]
+__all__ = ["ModePairing", "PairingOptions", "mac", "pair_to_reference", "relative_error"]
 
 
 def mac(phi, psi) -> float:
@@ -27,6 +27,20 @@ def mac(phi, psi) -> float:
 
 
 @dataclass(frozen=True)
+class PairingOptions:
+    """The pairing rule: relative frequency window and MAC threshold."""
+
+    f_window: float = 0.05
+    mac_threshold: float = 0.95
+
+    def __post_init__(self):
+        if not (0.0 < self.f_window < 1.0):
+            raise ValueError("f_window must lie in (0, 1)")
+        if not (0.0 < self.mac_threshold <= 1.0):
+            raise ValueError("mac_threshold must lie in (0, 1]")
+
+
+@dataclass(frozen=True)
 class ModePairing:
     """Pairing of identified modes against a reference set.
 
@@ -36,8 +50,6 @@ class ModePairing:
     """
 
     matches: tuple
-    f_window: float
-    mac_threshold: float
 
     @property
     def n_paired(self) -> int:
@@ -45,15 +57,15 @@ class ModePairing:
 
 
 def pair_to_reference(identified_freqs, identified_shapes, reference_freqs,
-                      reference_shapes, f_window: float = 0.05,
-                      mac_threshold: float = 0.95) -> ModePairing:
+                      reference_shapes,
+                      options: PairingOptions = PairingOptions()) -> ModePairing:
     """Pair identified modes to reference modes by frequency window and MAC.
 
-    For each reference mode the candidates within ``+-f_window`` relative
-    frequency distance are ranked by MAC (ties broken toward the smaller
-    frequency error); the best candidate is accepted only if its MAC reaches
-    ``mac_threshold``.  Each identified mode is used at most once, so the
-    pairing is injective and deterministic.
+    For each reference mode the candidates within ``+-options.f_window``
+    relative frequency distance are ranked by MAC (ties broken toward the
+    smaller frequency error); the best candidate is accepted only if its MAC
+    reaches ``options.mac_threshold``.  Each identified mode is used at most
+    once, so the pairing is injective and deterministic.
 
     Parameters
     ----------
@@ -64,10 +76,6 @@ def pair_to_reference(identified_freqs, identified_shapes, reference_freqs,
     reference_shapes : ndarray
         ``(n_channels, n_reference_modes)`` reference shapes.
     """
-    if not (0.0 < f_window < 1.0):
-        raise ValueError("f_window must lie in (0, 1)")
-    if not (0.0 < mac_threshold <= 1.0):
-        raise ValueError("mac_threshold must lie in (0, 1]")
     idf = np.asarray(identified_freqs, dtype=float)
     ref = np.asarray(reference_freqs, dtype=float)
     refs = np.asarray(reference_shapes, dtype=float)
@@ -77,19 +85,19 @@ def pair_to_reference(identified_freqs, identified_shapes, reference_freqs,
         fr = ref[k]
         best = None
         for i in range(idf.size):
-            if i in used or abs(idf[i] - fr) > f_window * fr:
+            if i in used or abs(idf[i] - fr) > options.f_window * fr:
                 continue
             m = mac(identified_shapes[i], refs[:, k])
             key = (m, -abs(idf[i] - fr))
             if best is None or key > best[0]:
                 best = (key, i, m)
-        if best is not None and best[2] >= mac_threshold:
+        if best is not None and best[2] >= options.mac_threshold:
             _, i, m = best
             used.add(i)
             matches.append((i, float(idf[i]), m))
         else:
             matches.append(None)
-    return ModePairing(tuple(matches), f_window, mac_threshold)
+    return ModePairing(tuple(matches))
 
 
 def relative_error(identified: float, reference: float) -> float:

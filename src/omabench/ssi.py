@@ -14,18 +14,17 @@ modes by frequency/damping/shape stability against the previous order.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal
 
 from .dsp import MultiChannelRecord
 from .freqdom import IdentifiedMode, IdentifiedModeSet, align_to_real, unit_normalize
-from .metrics import mac
+from .metrics import PairingOptions, mac
 
 __all__ = [
-    "HankelOptions",
-    "StabilityTolerances",
+    "SsiOptions",
     "ModeCandidate",
     "PoleRecord",
     "SubspaceFactorization",
@@ -39,8 +38,8 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class HankelOptions:
-    """Subspace settings: preprocessing, past/future block rows, model orders.
+class SsiOptions:
+    """Subspace settings: preprocessing, block rows, model orders, stability.
 
     ``block_rows`` is the number of block rows in each of the past and the
     future part (the Hankel matrix has ``2 * block_rows`` block rows in
@@ -56,6 +55,9 @@ class HankelOptions:
     Neither step moves a pole, and mode shapes are unchanged up to the
     per-mode scaling removed by normalization.  ``decimate=1`` together
     with ``integrate=0`` processes the raw record.
+
+    The last four fields are the pole-to-pole stability thresholds and the
+    cluster acceptance size of the stabilization diagram.
     """
 
     block_rows: int = 10
@@ -63,6 +65,10 @@ class HankelOptions:
     detrend: bool = True
     decimate: int = 5
     integrate: int = 2
+    freq_rel: float = 0.01
+    damping_abs: float = 0.05
+    mac_min: float = 0.95
+    min_cluster_size: int = 3
 
     def __post_init__(self):
         if self.block_rows < 1:
@@ -76,6 +82,12 @@ class HankelOptions:
             if not orders or any(o < 1 for o in orders):
                 raise ValueError("orders must be positive")
             object.__setattr__(self, "orders", orders)
+        if self.freq_rel <= 0 or self.damping_abs <= 0:
+            raise ValueError("freq_rel and damping_abs must be positive")
+        if not (0.0 < self.mac_min <= 1.0):
+            raise ValueError("mac_min must lie in (0, 1]")
+        if self.min_cluster_size < 1:
+            raise ValueError("min_cluster_size must be >= 1")
 
     def resolve_orders(self, n_channels: int) -> tuple[int, ...]:
         cap = self.block_rows * n_channels
@@ -85,16 +97,6 @@ class HankelOptions:
         if max(self.orders) > cap:
             raise ValueError(f"max order {max(self.orders)} exceeds block_rows * channels = {cap}")
         return self.orders
-
-
-@dataclass(frozen=True)
-class StabilityTolerances:
-    """Pole-to-pole stability thresholds and cluster acceptance size."""
-
-    freq_rel: float = 0.01
-    damping_abs: float = 0.05
-    mac_min: float = 0.95
-    min_cluster_size: int = 3
 
 
 @dataclass(frozen=True)
@@ -157,7 +159,8 @@ class StabilizationDiagram:
     def stable_poles(self) -> list[PoleRecord]:
         return [p for p in self.poles if p.stable]
 
-    def nearest_pole(self, frequency: float, rel_window: float = 0.05) -> PoleRecord | None:
+    def nearest_pole(self, frequency: float,
+                     rel_window: float = PairingOptions.f_window) -> PoleRecord | None:
         """Closest swept pole within a relative frequency window, stable first."""
         def best_of(pool):
             cand = [p for p in pool if abs(p.frequency - frequency) <= rel_window * frequency]
@@ -182,7 +185,7 @@ def _block_hankel(data: np.ndarray, n_block_rows: int) -> np.ndarray:
 
 
 def build_hankel(record: MultiChannelRecord,
-                 options: HankelOptions = HankelOptions()) -> SubspaceFactorization:
+                 options: SsiOptions = SsiOptions()) -> SubspaceFactorization:
     """Project the future outputs onto the past and factorize once.
 
     The block Hankel matrix has ``2 * block_rows`` block rows of all
@@ -264,7 +267,7 @@ def realize_modes(fact: SubspaceFactorization, order: int) -> list[ModeCandidate
 
 
 def _flag_poles(current: list[ModeCandidate], previous: list[ModeCandidate],
-                tol: StabilityTolerances) -> list[PoleRecord]:
+                tol: SsiOptions) -> list[PoleRecord]:
     records = []
     for cand in current:
         if previous:
@@ -282,7 +285,7 @@ def _flag_poles(current: list[ModeCandidate], previous: list[ModeCandidate],
     return records
 
 
-def _cluster_stable(stable: list[PoleRecord], tol: StabilityTolerances):
+def _cluster_stable(stable: list[PoleRecord], tol: SsiOptions):
     """Group stable poles by relative frequency gaps and select modes."""
     selected = []
     stable = sorted(stable, key=lambda p: p.frequency)
@@ -308,7 +311,7 @@ def _cluster_stable(stable: list[PoleRecord], tol: StabilityTolerances):
 
 
 def _merge_duplicate_shapes(selected: list[IdentifiedMode],
-                            tol: StabilityTolerances) -> list[IdentifiedMode]:
+                            tol: SsiOptions) -> list[IdentifiedMode]:
     """Drop over-modeling side clusters that repeat a neighbour's shape.
 
     Model orders above twice the physical mode count produce companion
@@ -335,7 +338,7 @@ def _merge_duplicate_shapes(selected: list[IdentifiedMode],
 
 
 def stabilization(fact: SubspaceFactorization, orders,
-                  tol: StabilityTolerances = StabilityTolerances()) -> StabilizationDiagram:
+                  options: SsiOptions = SsiOptions()) -> StabilizationDiagram:
     """Sweep model orders and cluster the stable poles into modes.
 
     A pole is stable when, against the nearest-in-frequency pole of the
@@ -355,15 +358,15 @@ def stabilization(fact: SubspaceFactorization, orders,
     previous: list[ModeCandidate] = []
     for order in sorted(orders):
         current = realize_modes(fact, order)
-        poles.extend(_flag_poles(current, previous, tol))
+        poles.extend(_flag_poles(current, previous, options))
         previous = current
     diagram = StabilizationDiagram(tuple(poles),
-                                   _cluster_stable([p for p in poles if p.stable], tol),
+                                   _cluster_stable([p for p in poles if p.stable], options),
                                    tuple(sorted(orders)), tuple(notes))
     return diagram
 
 
-def passband_edge(sample_rate: float, options: HankelOptions) -> float | None:
+def passband_edge(sample_rate: float, options: SsiOptions) -> float | None:
     """Upper trustworthy frequency after decimation, ``None`` for raw data.
 
     The anti-alias filter of the polyphase decimator leaves a transition
@@ -376,7 +379,7 @@ def passband_edge(sample_rate: float, options: HankelOptions) -> float | None:
 
 
 def clip_to_passband(selected, notes, sample_rate: float,
-                     options: HankelOptions) -> tuple[tuple, tuple]:
+                     options: SsiOptions) -> tuple[tuple, tuple]:
     """Drop selected modes above the decimation passband edge."""
     edge = passband_edge(sample_rate, options)
     if edge is None:
@@ -386,8 +389,7 @@ def clip_to_passband(selected, notes, sample_rate: float,
 
 
 def ssi_identify(record: MultiChannelRecord,
-                 options: HankelOptions = HankelOptions(),
-                 tol: StabilityTolerances = StabilityTolerances()) -> IdentifiedModeSet:
+                 options: SsiOptions = SsiOptions()) -> IdentifiedModeSet:
     """Subspace identification of a record via the stabilization diagram.
 
     With decimation active, only clusters inside the anti-alias filter
@@ -395,7 +397,7 @@ def ssi_identify(record: MultiChannelRecord,
     :func:`stabilization`; ``shape_at`` of the result reads its nearest pole.
     """
     fact = build_hankel(record, options)
-    diagram = stabilization(fact, options.resolve_orders(record.n_channels), tol)
+    diagram = stabilization(fact, options.resolve_orders(record.n_channels), options)
     selected, notes = clip_to_passband(diagram.selected, diagram.notes,
                                        record.sample_rate, options)
     return IdentifiedModeSet("SSI", selected, notes, lambda f, window: (

@@ -25,7 +25,7 @@ from omabench.harness import (BeamConfig, CampaignConfig, run_campaign,
                               summarize_and_tables)
 from omabench.metrics import mac, pair_to_reference
 from omabench.noise import NoiseSpec, corrupt, noise_level_to_snr_db
-from omabench.ssi import HankelOptions, build_hankel, realize_modes, ssi_identify
+from omabench.ssi import SsiOptions, build_hankel, realize_modes, ssi_identify
 
 # Reported reference values the criteria compare against.
 CF_ANALYTICAL = (8.2, 51.2, 144.8, 280.8, 463.7)
@@ -221,8 +221,8 @@ def test_criterion_4_subspace_clean(acceptance, beam_artifacts):
     assert elapsed < 300.0
 
 
-def _level_index(report_config: dict, level: float) -> int:
-    return list(report_config["noise_levels"]).index(level)
+def _level_index(config: CampaignConfig, level: float) -> int:
+    return config.noise_levels.index(level)
 
 
 def test_criterion_5a_pp_at_14_db(acceptance, request):
@@ -293,7 +293,7 @@ def test_criterion_6_subspace_oracle(acceptance):
         x = ad @ x
         x[[1, 3]] += rng.standard_normal(2)
     rec = MultiChannelRecord(1.0 / dt, y)
-    fact = build_hankel(rec, HankelOptions(block_rows=10, decimate=5, integrate=0))
+    fact = build_hankel(rec, SsiOptions(block_rows=10, decimate=5, integrate=0))
     cands = sorted(realize_modes(fact, 4), key=lambda m: m.frequency)
 
     ok = len(cands) == 2

@@ -18,6 +18,7 @@ import pytest
 
 from omabench.cli import DEFAULT_SEED, resolve_jobs, run_cli
 from omabench.dsp import MultiChannelRecord
+from omabench.harness import CampaignConfig
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +76,8 @@ class TestExitCodes:
         for doc in ({"schema_version": "none"}, {"runz": 3},
                     {"estimator": {"segmentz": 9}},
                     {"beams": [{"beam_id": "X", "support": "CF", "spam": 1.0}]},
-                    {"runs": "3"}, {"beams": 5}):
+                    {"runs": "3"}, {"beams": 5}, {"pairing": {"f_window": 1.5}},
+                    {"ssi": {"mac_min": 1.5}}, {"ssi": {"freq_rel": -0.01}}):
             bad_cfg.write_text(json.dumps(doc))
             assert run_cli(["bench", "--config", str(bad_cfg)]) == 2, doc
         err = capsys.readouterr().err
@@ -83,6 +85,9 @@ class TestExitCodes:
         assert "unknown config key 'beams[0].spam'" in err
         assert "config key 'runs' must be an integer" in err
         assert "config key 'beams' must be a list" in err
+        assert "f_window must lie in (0, 1)" in err
+        assert "mac_min must lie in (0, 1]" in err
+        assert "freq_rel and damping_abs must be positive" in err
 
     def test_module_entry_point(self):
         """``python -m omabench.cli`` runs the command line."""
@@ -287,6 +292,22 @@ class TestReport:
             if name.endswith(".json"):
                 continue
             assert filecmp.cmp(outdir / name, target / name, shallow=False), name
+
+    def test_partial_config_resolved(self, bench_out, tmp_path, capsys):
+        """A report whose config is partial re-emits the fully resolved config."""
+        _, outdir, _ = bench_out
+        partial = {"beams": [{"beam_id": "CF", "support": "CF"}], "noise_levels": [0.2],
+                   "runs": 2, "methods": ["PP"]}
+        doc = json.loads((outdir / "report.json").read_text())
+        doc["config"] = partial
+        source = tmp_path / "partial.json"
+        source.write_text(json.dumps(doc))
+        target = tmp_path / "resolved"
+        assert run_cli(["report", "--in", str(source), "--out", str(target)]) == 0
+        capsys.readouterr()
+        resolved = CampaignConfig.from_dict(partial).to_dict()
+        assert json.loads((target / "config_resolved.json").read_text()) == resolved
+        assert json.loads((target / "report.json").read_text())["config"] == resolved
 
 
 class TestJobs:

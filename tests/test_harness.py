@@ -18,7 +18,8 @@ import pytest
 from omabench.dsp import SpectralEstimatorOptions
 from omabench.harness import (BeamConfig, CampaignConfig, BenchmarkReport,
                               run_campaign, run_single, summarize_and_tables)
-from omabench.ssi import HankelOptions, StabilityTolerances
+from omabench.metrics import PairingOptions
+from omabench.ssi import SsiOptions
 
 from conftest import CAMPAIGN_LEVELS, MASTER_SEED
 
@@ -41,10 +42,11 @@ class TestConfig:
         config = small_config(
             beams=(BeamConfig("A", "SS", duration=2.0, force_band=(2.0, 900.0)),
                    BeamConfig("B", "CC", n_elements=12)),
-            noise_levels=(0.0, 0.3), runs=4, n_modes=3, f_window=0.08,
-            mac_threshold=0.9, estimator=SpectralEstimatorOptions("hann", 5, 0.25),
-            hankel=HankelOptions(block_rows=8, orders=(4, 8, 12), integrate=1),
-            stability=StabilityTolerances(freq_rel=0.02, min_cluster_size=2),
+            noise_levels=(0.0, 0.3), runs=4, n_modes=3,
+            pairing=PairingOptions(f_window=0.08, mac_threshold=0.9),
+            estimator=SpectralEstimatorOptions("hann", 5, 0.25),
+            ssi=SsiOptions(block_rows=8, orders=(4, 8, 12), integrate=1,
+                           freq_rel=0.02, min_cluster_size=2),
             output_dir="elsewhere")
         doc = json.loads(json.dumps(config.to_dict()))
         assert CampaignConfig.from_dict(doc) == config
@@ -57,10 +59,9 @@ class TestConfig:
         assert peaks.prominence_db == 4.5
         assert peaks.min_separation_hz == 3.0
         config = CampaignConfig.from_dict({"ssi": {"block_rows": 12, "mac_min": 0.9}})
-        assert config.hankel == HankelOptions(block_rows=12)
-        assert config.stability == StabilityTolerances(mac_min=0.9)
-        pairing = CampaignConfig.from_dict({"pairing": {"mac_threshold": 0.8}})
-        assert (pairing.f_window, pairing.mac_threshold) == (0.05, 0.8)
+        assert config.ssi == SsiOptions(block_rows=12, mac_min=0.9)
+        pairing = CampaignConfig.from_dict({"pairing": {"mac_threshold": 0.8}}).pairing
+        assert pairing == PairingOptions(f_window=0.05, mac_threshold=0.8)
 
     def test_partial_dict_fills_defaults(self):
         config = CampaignConfig.from_dict({"runs": 2})
@@ -101,6 +102,15 @@ class TestConfig:
             CampaignConfig.from_dict({"beams": [{"beam_id": "X"}]})
         with pytest.raises(ValueError):
             CampaignConfig.from_dict({"ssi": 12})
+        out_of_range = [({"pairing": {"f_window": 1.5}}, "f_window must lie in (0, 1)"),
+                        ({"pairing": {"mac_threshold": 0}}, "mac_threshold must lie in (0, 1]"),
+                        ({"ssi": {"mac_min": 1.5}}, "mac_min must lie in (0, 1]"),
+                        ({"ssi": {"freq_rel": -0.01}}, "freq_rel and damping_abs must be positive"),
+                        ({"ssi": {"damping_abs": 0}}, "freq_rel and damping_abs must be positive"),
+                        ({"ssi": {"min_cluster_size": 0}}, "min_cluster_size must be >= 1")]
+        for doc, message in out_of_range:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                CampaignConfig.from_dict(doc)
         wrong_type = [({"runs": "3"}, "'runs' must be an integer"),
                       ({"runs": True}, "'runs' must be an integer"),
                       ({"beams": 5}, "'beams' must be a list"),
@@ -115,9 +125,9 @@ class TestConfig:
         for doc, message in wrong_type:
             with pytest.raises(ValueError, match=re.escape(f"config key {message}")):
                 CampaignConfig.from_dict(doc)
-        ok = CampaignConfig.from_dict({"runs": 3, "pairing": {"f_window": 1},
+        ok = CampaignConfig.from_dict({"runs": 3, "pairing": {"mac_threshold": 1},
                                        "ssi": {"orders": None}})
-        assert (ok.runs, ok.f_window, ok.hankel.orders) == (3, 1, None)
+        assert (ok.runs, ok.pairing.mac_threshold, ok.ssi.orders) == (3, 1, None)
 
     def test_beam_config_round_trip(self):
         bc = BeamConfig("demo", "SS", duration=2.0, force_rms=0.5)
@@ -267,13 +277,6 @@ class TestReportStatistics:
         floor = min(o.mac for o in worst.methods["PP"].modes)
         for r in cf_campaign.runs_for("CF", nl_index):
             assert floor <= min(o.mac for o in r.methods["PP"].modes)
-
-    def test_worst_run_per_beam_pointer(self, cf_campaign):
-        pointers = cf_campaign.worst_run_per_beam()
-        assert set(pointers) == {"CF"}
-        nl_index, run_index = pointers["CF"]
-        worst = cf_campaign.worst_run("CF", nl_index)
-        assert worst.run_index == run_index
 
     def test_missing_cell_raises(self, cf_campaign):
         with pytest.raises(ValueError):

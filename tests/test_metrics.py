@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omabench.metrics import ModePairing, mac, pair_to_reference, relative_error
+from omabench.metrics import (ModePairing, PairingOptions, mac, pair_to_reference,
+                              relative_error)
 
 
 class TestMac:
@@ -130,13 +131,14 @@ class TestPairing:
         assert pairing.matches[0][0] == 0
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            pair_to_reference([], [], [8.0], self._ref_shapes()[:, :1], f_window=0.0)
-        with pytest.raises(ValueError):
-            pair_to_reference([], [], [8.0], self._ref_shapes()[:, :1], mac_threshold=1.5)
+        for bad in ({"f_window": 0.0}, {"f_window": 1.0}, {"mac_threshold": 0.0},
+                    {"mac_threshold": 1.5}):
+            with pytest.raises(ValueError):
+                PairingOptions(**bad)
+        assert PairingOptions(f_window=0.99, mac_threshold=1.0).mac_threshold == 1.0
 
     def test_n_paired_property(self):
-        pairing = ModePairing((None, (0, 8.0, 1.0)), 0.05, 0.95)
+        pairing = ModePairing((None, (0, 8.0, 1.0)))
         assert pairing.n_paired == 1
 
 

@@ -13,12 +13,11 @@ import pytest
 
 from omabench.dsp import MultiChannelRecord
 from omabench.metrics import mac
-from omabench.ssi import (HankelOptions, StabilityTolerances, build_hankel,
-                          clip_to_passband, passband_edge, realize_modes,
-                          ssi_identify, stabilization, write_diagram_csv,
-                          _block_hankel)
+from omabench.ssi import (SsiOptions, build_hankel, clip_to_passband, passband_edge,
+                          realize_modes, ssi_identify, stabilization,
+                          write_diagram_csv, _block_hankel)
 
-RAW = HankelOptions(block_rows=10, decimate=1, integrate=0)
+RAW = SsiOptions(block_rows=10, decimate=1, integrate=0)
 
 
 def two_dof_discrete(dt: float = 0.01):
@@ -36,26 +35,32 @@ def two_dof_discrete(dt: float = 0.01):
 
 
 class TestHankelOptions:
+    """The Hankel settings of ``SsiOptions``, and its range checks."""
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            HankelOptions(block_rows=0)
+            SsiOptions(block_rows=0)
         with pytest.raises(ValueError):
-            HankelOptions(decimate=0)
+            SsiOptions(decimate=0)
         with pytest.raises(ValueError):
-            HankelOptions(integrate=-1)
+            SsiOptions(integrate=-1)
         with pytest.raises(ValueError):
-            HankelOptions(orders=())
+            SsiOptions(orders=())
         with pytest.raises(ValueError):
-            HankelOptions(orders=(0, 2))
+            SsiOptions(orders=(0, 2))
+        for bad in ({"freq_rel": 0.0}, {"damping_abs": -0.01}, {"mac_min": 0.0},
+                    {"mac_min": 1.5}, {"min_cluster_size": 0}):
+            with pytest.raises(ValueError):
+                SsiOptions(**bad)
 
     def test_default_orders_capped_by_rank(self):
         """Default sweep is 2..min(100, block_rows * channels) step 2."""
-        opt = HankelOptions(block_rows=10)
+        opt = SsiOptions(block_rows=10)
         assert opt.resolve_orders(10) == tuple(range(2, 101, 2))
         assert opt.resolve_orders(9) == tuple(range(2, 91, 2))
 
     def test_explicit_orders_checked_against_cap(self):
-        opt = HankelOptions(block_rows=10, orders=(2, 96))
+        opt = SsiOptions(block_rows=10, orders=(2, 96))
         with pytest.raises(ValueError):
             opt.resolve_orders(9)
         assert opt.resolve_orders(10) == (2, 96)
@@ -87,7 +92,7 @@ class TestBuildHankel:
 
     def test_constant_record_detrends_to_zero(self):
         rec = MultiChannelRecord(100.0, np.full((2, 200), 3.3))
-        fact = build_hankel(rec, HankelOptions(block_rows=4, decimate=1, integrate=0))
+        fact = build_hankel(rec, SsiOptions(block_rows=4, decimate=1, integrate=0))
         np.testing.assert_allclose(fact.s, 0.0, atol=1e-12)
 
     def test_too_short_record_rejected(self):
@@ -99,7 +104,7 @@ class TestBuildHankel:
         rng = np.random.default_rng(2)
         rec = MultiChannelRecord(1000.0, rng.standard_normal((2, 5000)))
         raw = build_hankel(rec, RAW)
-        dec = build_hankel(rec, HankelOptions(block_rows=10, decimate=5, integrate=0))
+        dec = build_hankel(rec, SsiOptions(block_rows=10, decimate=5, integrate=0))
         assert dec.n_columns < raw.n_columns
         assert dec.dt == pytest.approx(5.0 * raw.dt, rel=1e-12)
 
@@ -119,7 +124,7 @@ class TestRealizeModes:
             y[:, k] = c @ x
             x = a @ x
         rec = MultiChannelRecord(100.0, y)
-        fact = build_hankel(rec, HankelOptions(block_rows=10, decimate=1,
+        fact = build_hankel(rec, SsiOptions(block_rows=10, decimate=1,
                                                integrate=0, detrend=False))
         cands = realize_modes(fact, 4)
         assert len(cands) == 2
@@ -158,7 +163,7 @@ class TestRealizeModes:
             x = ad @ x
             x[[1, 3]] += rng.standard_normal(2)
         rec = MultiChannelRecord(1.0 / dt, y)
-        fact = build_hankel(rec, HankelOptions(block_rows=10, decimate=5, integrate=0))
+        fact = build_hankel(rec, SsiOptions(block_rows=10, decimate=5, integrate=0))
         cands = sorted(realize_modes(fact, 4), key=lambda m: m.frequency)
         assert len(cands) == 2
         for cand, fr, zr, col in zip(cands, f_true, z_true, phi.T):
@@ -180,7 +185,7 @@ class TestRealizeModes:
 
     def test_order_out_of_range(self):
         rec = MultiChannelRecord(100.0, np.random.default_rng(3).standard_normal((2, 200)))
-        fact = build_hankel(rec, HankelOptions(block_rows=4, decimate=1, integrate=0))
+        fact = build_hankel(rec, SsiOptions(block_rows=4, decimate=1, integrate=0))
         with pytest.raises(ValueError):
             realize_modes(fact, 9)
 
@@ -193,7 +198,7 @@ class TestRealizeModes:
             y[:, k] = c @ x
             x = a @ x
         rec = MultiChannelRecord(100.0, y)
-        fact = build_hankel(rec, HankelOptions(block_rows=10, decimate=1,
+        fact = build_hankel(rec, SsiOptions(block_rows=10, decimate=1,
                                                integrate=0, detrend=False))
         with pytest.warns(UserWarning, match="order truncated"):
             realize_modes(fact, 12)
@@ -252,11 +257,11 @@ class TestStabilization:
 class TestPassband:
     def test_edge_only_under_decimation(self):
         assert passband_edge(10000.0, RAW) is None
-        assert passband_edge(10000.0, HankelOptions()) == pytest.approx(800.0)
+        assert passband_edge(10000.0, SsiOptions()) == pytest.approx(800.0)
 
     def test_clip_drops_out_of_band_modes(self, cf):
         mode_set = ssi_identify(cf.clean_record)
-        kept, notes = clip_to_passband(mode_set.modes, (), 10000.0, HankelOptions())
+        kept, notes = clip_to_passband(mode_set.modes, (), 10000.0, SsiOptions())
         assert all(m.frequency <= 800.0 for m in kept)
         assert any("band limited" in n for n in notes)
 
