@@ -9,8 +9,7 @@ campaign.
 
 from .beam import (BeamModel, BeamSection, GlobalSystem, Material, ModalSolution,
                    SUPPORTS, analytical_frequencies, assemble_model,
-                   characteristic_roots, modal_analysis, recording_duration,
-                   transient_response)
+                   characteristic_roots, modal_analysis, transient_response)
 from .dsp import (MultiChannelRecord, SpectralEstimatorOptions, SpectralMatrix,
                   band_limited_force, csd_matrix, derive_seed, psd)
 from .freqdom import (AnpsdCurve, IdentifiedMode, IdentifiedModeSet, Peak,

@@ -35,7 +35,6 @@ __all__ = [
     "modal_analysis",
     "characteristic_roots",
     "analytical_frequencies",
-    "recording_duration",
     "transient_response",
 ]
 
@@ -354,13 +353,6 @@ def analytical_frequencies(beam: BeamModel, n_modes: int) -> np.ndarray:
     lam = characteristic_roots(beam.support, n_modes)
     coef = np.sqrt(beam.flexural_rigidity / beam.mass_per_length) / (2.0 * np.pi * beam.span ** 2)
     return lam ** 2 * coef
-
-
-def recording_duration(frequency: float, damping_ratio: float) -> float:
-    """Guideline record length ``1 / (f * zeta)`` in seconds."""
-    if frequency <= 0 or damping_ratio <= 0:
-        raise ValueError("frequency and damping_ratio must be positive")
-    return 1.0 / (frequency * damping_ratio)
 
 
 def _recurrence_coefficients(omega: np.ndarray, zeta: float, dt: float):

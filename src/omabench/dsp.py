@@ -19,7 +19,6 @@ __all__ = [
     "SpectralEstimatorOptions",
     "SpectralMatrix",
     "derive_seed",
-    "power_and_rms",
     "gaussian_white",
     "band_limited_force",
     "psd",
@@ -52,15 +51,6 @@ def derive_seed(*parts) -> int:
     token = "\x1f".join(str(p) for p in parts).encode("utf-8")
     digest = hashlib.sha256(token).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def power_and_rms(samples) -> tuple[float, float]:
-    """Return the mean-square power and RMS value of a 1-D sample array."""
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("samples must be a non-empty 1-D array")
-    p = float(np.mean(x * x))
-    return p, float(np.sqrt(p))
 
 
 def gaussian_white(n_samples: int, seed: int) -> np.ndarray:

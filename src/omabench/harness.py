@@ -9,13 +9,14 @@ master seed, so a campaign is reproducible run by run and byte by byte.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -173,14 +174,21 @@ class CampaignConfig:
         return _merge(cls(), doc)
 
 
+@cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 def _to_json(value):
     """JSON form: dataclasses and dicts become objects, tuples (of one kind) lists."""
+    if value is None or isinstance(value, (float, int, str)):
+        return value
     if isinstance(value, tuple):
         return [_to_json(v) for v in value] if value and is_dataclass(value[0]) else list(value)
     if isinstance(value, dict):
         return {k: _to_json(v) for k, v in value.items()}
     if is_dataclass(value):
-        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+        return {name: _to_json(getattr(value, name)) for name in _field_names(type(value))}
     return value
 
 
@@ -482,23 +490,42 @@ class BenchmarkReport:
         return stats
 
     def to_json(self, path) -> None:
-        doc = {
+        """Write the report: an indented header, then one compact line per result.
+
+        Any ``indent`` sends ``json`` through its pure-Python encoder, so only
+        the small header is indented; each result, nearly all of the file,
+        is encoded by the C encoder and written as soon as it is encoded.
+        """
+        head = {
             "schema_version": SCHEMA_VERSION,
             "config": self.config.to_dict(),
             "reference": self.reference,
             "failure_counts": self.failure_counts,
             "mac_statistics": self.mac_statistics(),
-            "results": [_to_json(r) for r in self.results],
         }
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+            fh.write(json.dumps(head, indent=1).removesuffix("\n}"))
+            fh.write(',\n "results": [')
+            separator = "\n"
+            for r in self.results:
+                fh.write(separator + json.dumps(_to_json(r)))
+                separator = ",\n"
+            fh.write("\n ]\n}\n")
 
     @classmethod
     def from_json(cls, path) -> "BenchmarkReport":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        results = tuple(_run_from_dict(d) for d in doc["results"])
+        # Decoding and building the results make millions of objects and no
+        # reference cycle, so the cyclic collector is paused: each of its
+        # passes on the way would scan every container made so far.
+        gc_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+            results = tuple(_run_from_dict(d) for d in doc["results"])
+        finally:
+            if gc_enabled:
+                gc.enable()
         return cls(CampaignConfig.from_dict(doc["config"]), doc["reference"], results)
 
 

@@ -112,7 +112,6 @@ class SubspaceFactorization:
     n_channels: int
     block_rows: int
     dt: float
-    n_columns: int
 
     @property
     def max_order(self) -> int:
@@ -218,7 +217,7 @@ def build_hankel(record: MultiChannelRecord,
     # the past row space is L[li:, :li] expressed on the first li rows of Q^T.
     proj = r[:li, li:].T
     u, s, _ = np.linalg.svd(proj)
-    return SubspaceFactorization(u, s, l, i, dt, h.shape[1])
+    return SubspaceFactorization(u, s, l, i, dt)
 
 
 def realize_modes(fact: SubspaceFactorization, order: int) -> list[ModeCandidate]:

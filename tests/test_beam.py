@@ -14,8 +14,7 @@ import pytest
 from omabench.beam import (BeamModel, BeamSection, Material, SUPPORTS,
                            analytical_frequencies, assemble_model,
                            characteristic_roots, element_matrices,
-                           modal_analysis, recording_duration,
-                           transient_response, _modal_superposition,
+                           modal_analysis, transient_response, _modal_superposition,
                            _recurrence_coefficients)
 from omabench.dsp import MultiChannelRecord
 from omabench.metrics import mac
@@ -221,24 +220,6 @@ class TestAnalyticalFrequencies:
             characteristic_roots("CF", 0)
         with pytest.raises(ValueError):
             characteristic_roots("ZZ", 3)
-
-
-class TestRecordingDuration:
-    def test_paper_sizing_case(self):
-        """1 / (8.2 Hz x 0.025) = 4.88 s, the guideline behind 5 s records."""
-        assert recording_duration(8.2, 0.025) == pytest.approx(4.878, abs=0.005)
-
-    def test_unit_case(self):
-        assert recording_duration(1.0, 1.0) == 1.0
-
-    def test_ss_case(self):
-        assert recording_duration(23.2, 0.025) == pytest.approx(1.724, abs=0.005)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            recording_duration(0.0, 0.025)
-        with pytest.raises(ValueError):
-            recording_duration(8.2, 0.0)
 
 
 class TestTransientResponse:

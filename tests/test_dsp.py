@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from omabench.dsp import (MultiChannelRecord, SpectralEstimatorOptions,
                           band_limited_force, csd_matrix, derive_seed,
-                          gaussian_white, power_and_rms, psd)
+                          gaussian_white, psd)
 
 
 class TestDeriveSeed:
@@ -36,30 +36,6 @@ class TestDeriveSeed:
     def test_requires_parts(self):
         with pytest.raises(ValueError):
             derive_seed()
-
-
-class TestPowerAndRms:
-    def test_constant(self):
-        p, r = power_and_rms(np.full(100, -3.0))
-        assert p == pytest.approx(9.0, rel=1e-12)
-        assert r == pytest.approx(3.0, rel=1e-12)
-
-    def test_two_samples(self):
-        """[3, 4] has mean square 12.5 and RMS sqrt(12.5)."""
-        p, r = power_and_rms([3.0, 4.0])
-        assert p == pytest.approx(12.5, rel=1e-12)
-        assert r == pytest.approx(3.5355, abs=5e-5)
-
-    def test_sine_power(self):
-        """A sine of amplitude A over integer periods has power A^2/2."""
-        t = np.arange(10000) / 1000.0
-        x = 2.5 * np.sin(2.0 * np.pi * 5.0 * t)
-        p, _ = power_and_rms(x)
-        assert p == pytest.approx(2.5 ** 2 / 2.0, rel=1e-9)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            power_and_rms([])
 
 
 class TestGaussianWhite:
@@ -153,8 +129,7 @@ class TestBandLimitedForce:
 
     def test_exact_rms(self):
         x = band_limited_force(5.0, self.RATE, (1.0, 1500.0), 0.2, 9)
-        _, r = power_and_rms(x)
-        assert r == pytest.approx(0.2, rel=1e-12)
+        assert np.sqrt(np.mean(x * x)) == pytest.approx(0.2, rel=1e-12)
 
     def test_out_of_band_power_negligible(self):
         """Spectral lines outside the band carry < 1e-6 of the total power."""

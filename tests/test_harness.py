@@ -8,15 +8,19 @@ table files, driven by a shared CF campaign at the default seed.
 from __future__ import annotations
 
 import filecmp
+import gc
 import json
+import math
 import os
 import re
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from omabench.dsp import SpectralEstimatorOptions
-from omabench.harness import (BeamConfig, CampaignConfig, BenchmarkReport,
+from omabench.harness import (BeamConfig, CampaignConfig, BenchmarkReport, MethodResult,
+                              ModeOutcome, default_beams, fe_reference,
                               run_campaign, run_single, summarize_and_tables)
 from omabench.metrics import PairingOptions
 from omabench.ssi import SsiOptions
@@ -128,6 +132,12 @@ class TestConfig:
         ok = CampaignConfig.from_dict({"runs": 3, "pairing": {"mac_threshold": 1},
                                        "ssi": {"orders": None}})
         assert (ok.runs, ok.pairing.mac_threshold, ok.ssi.orders) == (3, 1, None)
+
+    @pytest.mark.parametrize("beam", default_beams(), ids=lambda b: b.beam_id)
+    def test_record_outlasts_fundamental_decay(self, beam):
+        """The record is at least 1 / (f1 zeta) long, 4.9 s for CF's 8.2 Hz."""
+        f1 = fe_reference(beam).reference_frequencies[0]
+        assert beam.duration >= 1.0 / (f1 * beam.damping_ratio)
 
     def test_beam_config_round_trip(self):
         bc = BeamConfig("demo", "SS", duration=2.0, force_rms=0.5)
@@ -303,6 +313,56 @@ class TestReportStatistics:
         assert back.mac_statistics() == cf_campaign.mac_statistics()
         for a, b in zip(back.results, cf_campaign.results):
             assert a == b
+
+    @pytest.mark.parametrize("n_results", [None, 0])
+    def test_json_layout(self, cf_campaign, tmp_path, n_results):
+        """The indented header, then one line per result; parses as the indented document."""
+        report = replace(cf_campaign, results=cf_campaign.results[:n_results])
+        path = tmp_path / "report.json"
+        report.to_json(path)
+        head = {"schema_version": 1, "config": report.config.to_dict(),
+                "reference": report.reference, "failure_counts": report.failure_counts,
+                "mac_statistics": report.mac_statistics()}
+        oracle = {**head, "results": [asdict(r) for r in report.results]}
+        text = path.read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert doc == json.loads(json.dumps(oracle, indent=1))
+        assert list(doc) == list(oracle)
+        header = json.dumps(head, indent=1).removesuffix("\n}") + ',\n "results": [\n'
+        assert text.startswith(header)
+        lines = text[len(header):].splitlines()
+        assert [json.loads(line.removesuffix(",")) for line in lines[:-2]] == doc["results"]
+        assert lines[-2:] == [" ]", "}"] and text.endswith("}\n")
+
+    def test_json_special_values(self, cf_campaign, tmp_path):
+        """Failure notes, non-ASCII text and infinite SNRs read back unchanged."""
+        run = cf_campaign.results[0]
+        failed = MethodResult(True, ("failed: LinAlgError: \u00b5 \u2014 \"quoted\"\n",), (),
+                              (ModeOutcome(False, None, 0.0, None, None),) * 5)
+        odd = replace(run, snr_db=(math.inf, -math.inf, None),
+                      methods={**run.methods, "SSI": failed})
+        path = tmp_path / "report.json"
+        replace(cf_campaign, results=(odd,)).to_json(path)
+        back = BenchmarkReport.from_json(path)
+        assert back.results == (odd,)
+        assert back.failure_counts == {"SSI": 1}
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_from_json_restores_collector(self, cf_campaign, tmp_path, enabled):
+        """Reading pauses the cyclic collector and leaves it as it found it."""
+        good, broken = tmp_path / "report.json", tmp_path / "broken.json"
+        cf_campaign.to_json(good)
+        broken.write_text(good.read_text(encoding="utf-8")[:1000], encoding="utf-8")
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            BenchmarkReport.from_json(good)
+            assert gc.isenabled() is enabled
+            with pytest.raises(ValueError):
+                BenchmarkReport.from_json(broken)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
 
 class TestTables:
