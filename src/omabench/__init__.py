@@ -18,7 +18,7 @@ from .freqdom import (AnpsdCurve, IdentifiedMode, IdentifiedModeSet, Peak,
                       unit_normalize)
 from .harness import (BeamConfig, BenchmarkReport, CampaignConfig, DEFAULT_SEED,
                       ModeOutcome, MethodResult, RunResult, default_beams,
-                      run_campaign, run_single, simulate_beam,
+                      identify_record, run_campaign, run_single, simulate_beam,
                       summarize_and_tables)
 from .metrics import (ModePairing, PairingOptions, mac, pair_to_reference,
                       relative_error)

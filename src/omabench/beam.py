@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.optimize import brentq
 from scipy.signal import lfilter
 
 from .dsp import MultiChannelRecord
@@ -314,9 +315,8 @@ def characteristic_roots(support: str, n_modes: int) -> np.ndarray:
     """Roots of the continuous-beam characteristic equation.
 
     SS roots are ``k * pi`` exactly; the other supports are solved by
-    bracketed bisection to an absolute tolerance of 1e-10.  If a bracket
-    fails to straddle a sign change it is widened once by half an interval
-    on each side before reporting an error.
+    Brent's method on the standard bracket of each root, to an absolute
+    tolerance of 1e-12.
     """
     if support not in SUPPORTS:
         raise ValueError(f"support must be one of {SUPPORTS}")
@@ -324,24 +324,9 @@ def characteristic_roots(support: str, n_modes: int) -> np.ndarray:
         raise ValueError("n_modes must be >= 1")
     if support == "SS":
         return np.arange(1, n_modes + 1) * np.pi
-    roots = np.empty(n_modes)
-    for k in range(1, n_modes + 1):
-        lo, hi = _bracket(support, k)
-        flo, fhi = _characteristic(support, lo), _characteristic(support, hi)
-        if flo * fhi > 0:
-            lo, hi = max(lo - np.pi / 2, 1e-9), hi + np.pi / 2
-            flo, fhi = _characteristic(support, lo), _characteristic(support, hi)
-            if flo * fhi > 0:
-                raise ValueError(f"no sign change bracketing root {k} for {support}")
-        while hi - lo > 1e-10:
-            mid = 0.5 * (lo + hi)
-            fmid = _characteristic(support, mid)
-            if flo * fmid <= 0:
-                hi, fhi = mid, fmid
-            else:
-                lo, flo = mid, fmid
-        roots[k - 1] = 0.5 * (lo + hi)
-    return roots
+    return np.array([brentq(lambda lam: _characteristic(support, lam),
+                            *_bracket(support, k), xtol=1e-12)
+                     for k in range(1, n_modes + 1)])
 
 
 def analytical_frequencies(beam: BeamModel, n_modes: int) -> np.ndarray:

@@ -17,13 +17,10 @@ import numpy as np
 
 from .beam import SUPPORTS
 from .dsp import MultiChannelRecord
-from .freqdom import fdd_identify, pp_identify
 from .harness import (BeamConfig, BenchmarkReport, CampaignConfig, DEFAULT_SEED,
-                      fe_reference, run_campaign, simulate_beam, simulate_beams,
-                      summarize_and_tables)
-from .metrics import pair_to_reference, relative_error
+                      fe_reference, identify_record, run_campaign, simulate_beam,
+                      simulate_beams, summarize_and_tables)
 from .noise import NoiseSpec, corrupt
-from .ssi import ssi_identify
 
 __all__ = ["main", "run_cli", "resolve_jobs", "DEFAULT_SEED"]
 
@@ -135,23 +132,25 @@ def _cmd_corrupt(args) -> int:
 
 
 def _cmd_identify(args) -> int:
+    """Score a record as a campaign cell is scored, with the campaign settings."""
     record = _load_record(args.infile)
     art = fe_reference(BeamConfig(args.beam, args.beam), args.modes)
-    ref_f, ref_s = art.reference_frequencies, art.reference_shapes
-    mode_set = {"pp": pp_identify, "fdd": fdd_identify, "ssi": ssi_identify}[args.method](record)
-    pairing = pair_to_reference(mode_set.frequencies, mode_set.shapes, ref_f, ref_s)
+    method = args.method.upper()
+    result = identify_record(record, art, replace(CampaignConfig(), methods=(method,)))[method]
+    if result.failed:
+        raise ValueError(result.notes[0].removeprefix("failed: "))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("mode,reference_hz,frequency_hz,rel_err_pct,mac\n")
-        for k, match in enumerate(pairing.matches):
-            ref = float(ref_f[k])
-            if match is None:
-                fh.write(f"{k+1},{ref!r},-,-,-\n")
+        for k, o in enumerate(result.modes):
+            ref = float(art.reference_frequencies[k])
+            if o.identified:
+                fh.write(f"{k+1},{ref!r},{float(o.frequency)!r},{o.rel_err_pct!r},"
+                         f"{float(o.mac)!r}\n")
             else:
-                _, freq, m = match
-                err = relative_error(freq, ref)
-                fh.write(f"{k+1},{ref!r},{float(freq)!r},{err!r},{float(m)!r}\n")
-    print(f"wrote {args.out}: {pairing.n_paired}/{ref_f.size} modes paired "
-          f"({mode_set.method}, {len(mode_set.modes)} candidates)")
+                fh.write(f"{k+1},{ref!r},-,-,-\n")
+    n_paired = sum(o.identified for o in result.modes)
+    print(f"wrote {args.out}: {n_paired}/{len(result.modes)} modes paired "
+          f"({method}, {len(result.identified_frequencies)} candidates)")
     return 0
 
 

@@ -227,14 +227,19 @@ def band_limited_force(duration: float, sample_rate: float, band: tuple[float, f
 class SpectralEstimatorOptions:
     """Settings for the Welch-type PSD/CSD estimators.
 
-    The default is a single full-record rectangular segment, which keeps the
-    native frequency resolution ``1 / duration`` of the record.  Requesting
-    more segments trades resolution for variance.
+    The default is the Monte Carlo campaign's: nine half-overlapped Hann
+    segments.  A single full-record segment keeps the finest frequency grid,
+    ``1 / duration``, but its noise cross-spectra never average down, which
+    wrecks shape estimates at the harshest noise levels.  Nine segments of a
+    5 s record still resolve well-separated beam modes while cutting the
+    estimator variance enough for stable peak and shape extraction at 0 dB.
+    ``SpectralEstimatorOptions("rectangular", 1, 0.0)`` is the raw
+    single-segment estimate.
     """
 
-    window: str = "rectangular"
-    segments: int = 1
-    overlap: float = 0.0
+    window: str = "hann"
+    segments: int = 9
+    overlap: float = 0.5
 
     def __post_init__(self):
         if self.window not in _WINDOWS:
@@ -333,8 +338,8 @@ def psd(record: MultiChannelRecord,
         Grid in Hz.
     densities : ndarray
         Shape ``(n_channels, n_freqs)``; integrating each row against the
-        grid recovers the corresponding channel power (exactly for the
-        default single rectangular segment).
+        grid recovers the corresponding channel power, exactly only when one
+        rectangular segment is requested.
     """
     freqs, X, scale, _ = _segment_ffts(record, options)
     p = np.mean(np.abs(X) ** 2, axis=0) * scale

@@ -23,9 +23,9 @@ import numpy as np
 from .beam import (BeamModel, BeamSection, GlobalSystem, Material, ModalSolution,
                    SUPPORTS, assemble_model, modal_analysis, transient_response)
 from .dsp import (MultiChannelRecord, SpectralEstimatorOptions, band_limited_force,
-                  csd_matrix, derive_seed, psd)
-from .freqdom import (IdentifiedModeSet, PeakOptions, anpsd_from_densities,
-                      fdd_identify, pp_identify, unit_normalize, write_curve_csv)
+                  csd_matrix, derive_seed)
+from .freqdom import (IdentifiedModeSet, PeakOptions, anpsd, fdd_identify, pp_identify,
+                      unit_normalize, write_curve_csv)
 from .metrics import PairingOptions, mac, pair_to_reference, relative_error
 from .noise import NoiseSpec, corrupt, noise_level_to_snr_db
 from .ssi import SsiOptions, ssi_identify
@@ -45,6 +45,7 @@ __all__ = [
     "fe_reference",
     "simulate_beam",
     "simulate_beams",
+    "identify_record",
     "run_single",
     "run_campaign",
     "summarize_and_tables",
@@ -94,29 +95,6 @@ def default_beams() -> tuple[BeamConfig, ...]:
     return tuple(BeamConfig(s, s) for s in SUPPORTS)
 
 
-def _campaign_estimator() -> SpectralEstimatorOptions:
-    """Welch averaging for the Monte Carlo runs.
-
-    A single full-record segment keeps the finest frequency grid but its
-    noise cross-spectra never average down, which wrecks shape estimates
-    at the harshest noise levels.  Nine half-overlapped Hann segments of a
-    5 s record still resolve well-separated beam modes while cutting the
-    estimator variance enough for stable peak/shape extraction at 0 dB.
-    """
-    return SpectralEstimatorOptions(window="hann", segments=9, overlap=0.5)
-
-
-def _campaign_peaks() -> PeakOptions:
-    """Peak selection tuned for averaged spectra.
-
-    With nine-segment averaging the noise floor is smooth, so a 4.5 dB
-    prominence keeps every physical peak that survives the noise while
-    rejecting floor wiggle; the interactive single-record default of 6 dB
-    would drop real peaks whose prominence is eroded by heavy noise.
-    """
-    return PeakOptions(prominence_db=4.5)
-
-
 @dataclass(frozen=True)
 class CampaignConfig:
     """Fully resolved campaign settings (see :func:`CampaignConfig.from_dict`).
@@ -130,8 +108,8 @@ class CampaignConfig:
     methods: tuple[str, ...] = METHOD_NAMES
     n_modes: int = 5
     pairing: PairingOptions = field(default_factory=PairingOptions)
-    estimator: SpectralEstimatorOptions = field(default_factory=_campaign_estimator)
-    peaks: PeakOptions = field(default_factory=_campaign_peaks)
+    estimator: SpectralEstimatorOptions = field(default_factory=SpectralEstimatorOptions)
+    peaks: PeakOptions = field(default_factory=PeakOptions)
     ssi: SsiOptions = field(default_factory=SsiOptions)
     output_dir: str = "bench_out"
     beams: tuple[BeamConfig, ...] = field(default_factory=default_beams)
@@ -381,28 +359,35 @@ def _noisy_record(artifacts: BeamArtifacts, config: CampaignConfig,
     return noisy, rep.snr_db
 
 
-def run_single(artifacts: BeamArtifacts, config: CampaignConfig,
-               nl_index: int, run_index: int) -> RunResult:
-    """One corrupt-identify-score pass for a cached beam.
+def identify_record(record: MultiChannelRecord, artifacts: BeamArtifacts,
+                    config: CampaignConfig) -> dict[str, MethodResult]:
+    """Identify ``record`` with each of ``config.methods`` and score it
+    against the beam's FE reference, by method name.
 
-    Numerical and validation errors of an identifier are recorded in the
-    result and never abort the run; any other exception propagates.
+    Numerical and validation errors of an identifier are recorded in its
+    result and never abort the others; any other exception propagates.
     """
-    noisy, snr_db = _noisy_record(artifacts, config, nl_index, run_index)
     ref_f = artifacts.reference_frequencies
     shared_csd = "PP" in config.methods or "FDD" in config.methods
-    spectral = csd_matrix(noisy, config.estimator) if shared_csd else None
+    spectral = csd_matrix(record, config.estimator) if shared_csd else None
     methods: dict[str, MethodResult] = {}
     for name in config.methods:
         try:
-            mode_set = _IDENTIFIERS[name](noisy, config, spectral)
+            mode_set = _IDENTIFIERS[name](record, config, spectral)
             methods[name] = _score_method(mode_set, ref_f, artifacts.reference_shapes, config)
         except (ValueError, np.linalg.LinAlgError) as exc:  # identifier failure: record it
             empty = (ModeOutcome(False, None, 0.0, None, None),) * ref_f.size
             note = f"failed: {type(exc).__name__}: {exc}"
             methods[name] = MethodResult(True, (note,), (), empty)
+    return methods
+
+
+def run_single(artifacts: BeamArtifacts, config: CampaignConfig,
+               nl_index: int, run_index: int) -> RunResult:
+    """One corrupt-identify-score pass for a cached beam."""
+    noisy, snr_db = _noisy_record(artifacts, config, nl_index, run_index)
     return RunResult(artifacts.config.beam_id, config.noise_levels[nl_index], nl_index,
-                     run_index, snr_db, methods)
+                     run_index, snr_db, identify_record(noisy, artifacts, config))
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +627,7 @@ def summarize_and_tables(report: BenchmarkReport, outdir,
         for nl in levels:
             wrun = worst[beam_id, nl]
             noisy, _ = _noisy_record(art, config, nl, wrun.run_index)
-            curve = anpsd_from_densities(*psd(noisy, config.estimator))
+            curve = anpsd(noisy, config.estimator)
             write_curve_csv(path(f"anpsd_{beam_id}_{tags[nl]}.csv"),
                             curve.frequencies, curve.values)
             for k in modes:

@@ -33,7 +33,6 @@ __all__ = [
     "realize_modes",
     "stabilization",
     "ssi_identify",
-    "write_diagram_csv",
 ]
 
 
@@ -365,24 +364,18 @@ def stabilization(fact: SubspaceFactorization, orders,
     return diagram
 
 
-def passband_edge(sample_rate: float, options: SsiOptions) -> float | None:
-    """Upper trustworthy frequency after decimation, ``None`` for raw data.
+def clip_to_passband(selected, notes, sample_rate: float,
+                     options: SsiOptions) -> tuple[tuple, tuple]:
+    """Drop selected modes above the decimation passband edge.
 
     The anti-alias filter of the polyphase decimator leaves a transition
     band below the decimated Nyquist frequency; poles found there mix real
-    content with filter artifacts and are not reported.
+    content with filter artifacts and are not reported.  The edge is 80% of
+    the decimated Nyquist frequency; raw data (``decimate=1``) is not clipped.
     """
     if options.decimate <= 1:
-        return None
-    return 0.8 * sample_rate / (2.0 * options.decimate)
-
-
-def clip_to_passband(selected, notes, sample_rate: float,
-                     options: SsiOptions) -> tuple[tuple, tuple]:
-    """Drop selected modes above the decimation passband edge."""
-    edge = passband_edge(sample_rate, options)
-    if edge is None:
         return tuple(selected), tuple(notes)
+    edge = 0.8 * sample_rate / (2.0 * options.decimate)
     kept = tuple(m for m in selected if m.frequency <= edge)
     return kept, tuple(notes) + (f"band limited to {edge:g} Hz by decimation",)
 
@@ -401,12 +394,3 @@ def ssi_identify(record: MultiChannelRecord,
                                        record.sample_rate, options)
     return IdentifiedModeSet("SSI", selected, notes, lambda f, window: (
         p.shape if (p := diagram.nearest_pole(f, window)) is not None else None))
-
-
-def write_diagram_csv(path, diagram: StabilizationDiagram) -> None:
-    """Write the swept poles as ``order,frequency_hz,damping,stable_f,stable_d,stable_mac``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("order,frequency_hz,damping,stable_f,stable_d,stable_mac\n")
-        for p in diagram.poles:
-            fh.write(f"{p.order},{p.frequency!r},{p.damping!r},"
-                     f"{int(p.stable_f)},{int(p.stable_d)},{int(p.stable_mac)}\n")

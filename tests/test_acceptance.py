@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import filecmp
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from scipy.linalg import expm
 from omabench.beam import analytical_frequencies, assemble_model, modal_analysis
 from omabench.dsp import (MultiChannelRecord, SpectralEstimatorOptions,
                           gaussian_white, psd)
-from omabench.freqdom import anpsd, fdd_identify, pp_identify
+from omabench.freqdom import PeakOptions, anpsd, fdd_identify, pp_identify
 from omabench.harness import (BeamConfig, CampaignConfig, run_campaign,
                               summarize_and_tables)
 from omabench.metrics import mac, pair_to_reference
@@ -38,6 +39,13 @@ COARSE_REFERENCE_M13 = {
 LEVEL_TO_DB = {0.05: 26.02, 0.10: 20.00, 0.20: 13.98, 0.50: 6.02,
                0.75: 2.50, 1.00: 0.00, 2.00: -6.02}
 ZETA = 0.025
+
+# The raw single-segment spectrum and 6 dB peak floor the clean-record
+# criteria were written for.
+SINGLE = SpectralEstimatorOptions("rectangular", 1, 0.0)
+PEAKS_6DB = PeakOptions(prominence_db=6.0)
+PEAK_METHODS = (partial(pp_identify, estimator=SINGLE, peaks=PEAKS_6DB),
+                partial(fdd_identify, estimator=SINGLE, peaks=PEAKS_6DB))
 
 
 def test_criterion_1_analytical_oracle(acceptance):
@@ -152,7 +160,7 @@ def test_criterion_4_peak_methods_clean(acceptance, beam_artifacts):
     t0 = time.perf_counter()
     unpaired, min_mac, worst_rel = 0, 1.0, 0.0
     for art in beam_artifacts.values():
-        for fn in (pp_identify, fdd_identify):
+        for fn in PEAK_METHODS:
             pairing = _pair_clean(fn, art)
             for k, m in enumerate(pairing.matches):
                 fr = art.reference_frequencies[k]
@@ -184,7 +192,7 @@ def test_criterion_4_two_bin_window(acceptance, beam_artifacts):
     """PP and FDD frequencies within 0.4 Hz of the reference everywhere."""
     worst = 0.0
     for art in beam_artifacts.values():
-        for fn in (pp_identify, fdd_identify):
+        for fn in PEAK_METHODS:
             pairing = _pair_clean(fn, art)
             for k, m in enumerate(pairing.matches):
                 fr = art.reference_frequencies[k]
@@ -336,7 +344,7 @@ def test_criterion_7_parseval(acceptance):
     rec = MultiChannelRecord(10000.0, x[None, :])
     power = float(np.mean(x ** 2))
     worst = 0.0
-    for options in (SpectralEstimatorOptions(),
+    for options in (SINGLE,
                     SpectralEstimatorOptions("hann", 9, 0.5)):
         f, p = psd(rec, options)
         worst = max(worst, abs(float(np.trapezoid(p[0], f)) - power) / power)
@@ -350,8 +358,8 @@ def test_criterion_7_anpsd_scaling(acceptance, cf):
     rec = cf.clean_record
     scaled = rec.with_data(rec.data * np.where(np.arange(rec.n_channels) == 3,
                                                2.5e5, 1.0)[:, None])
-    base = anpsd(rec)
-    other = anpsd(scaled)
+    base = anpsd(rec, SINGLE)
+    other = anpsd(scaled, SINGLE)
     ok = np.allclose(base.values, other.values, rtol=1e-9)
     acceptance("7 (anpsd scaling)", ok,
                "curve invariant to a single-channel gain of 2.5e5")
@@ -363,7 +371,7 @@ def test_criterion_7_identifier_scaling(acceptance, cf):
     rec = cf.clean_record
     scaled = rec.with_data(rec.data * 3.7)
     worst_df, min_mac, ok = 0.0, 1.0, True
-    for fn in (pp_identify, fdd_identify, ssi_identify):
+    for fn in (*PEAK_METHODS, ssi_identify):
         a, b = fn(rec), fn(scaled)
         fa, fb = np.asarray(a.frequencies), np.asarray(b.frequencies)
         if len(fa) != len(fb) or len(fa) == 0:

@@ -16,6 +16,9 @@ from omabench.dsp import (MultiChannelRecord, SpectralEstimatorOptions,
                           band_limited_force, csd_matrix, derive_seed,
                           gaussian_white, psd)
 
+# One full-record rectangular segment: the exact, unaveraged estimate.
+SINGLE = SpectralEstimatorOptions("rectangular", 1, 0.0)
+
 
 class TestDeriveSeed:
     def test_stable_across_calls(self):
@@ -170,9 +173,9 @@ class TestBandLimitedForce:
 
 class TestPsd:
     def test_parseval_single_segment(self):
-        """The default full-record segment integrates back to the power."""
+        """One full-record rectangular segment integrates back to the power."""
         rec = MultiChannelRecord(10000.0, gaussian_white(50000, 21))
-        freqs, dens = psd(rec)
+        freqs, dens = psd(rec, SINGLE)
         power = float(np.mean(rec.data[0] ** 2))
         df = freqs[1] - freqs[0]
         assert dens[0].sum() * df == pytest.approx(power, rel=1e-9)
@@ -188,13 +191,13 @@ class TestPsd:
         rate, dur = 10000.0, 5.0
         t = np.arange(int(rate * dur)) / rate
         rec = MultiChannelRecord(rate, np.sin(2.0 * np.pi * 100.0 * t))
-        freqs, dens = psd(rec)
+        freqs, dens = psd(rec, SINGLE)
         assert freqs[1] - freqs[0] == pytest.approx(0.2, rel=1e-12)
         assert freqs[np.argmax(dens[0])] == pytest.approx(100.0, abs=1e-9)
 
     def test_zero_record_zero_psd(self):
         rec = MultiChannelRecord(100.0, np.zeros((2, 64)))
-        _, dens = psd(rec)
+        _, dens = psd(rec, SINGLE)
         np.testing.assert_array_equal(dens, 0.0)
 
     def test_segment_length_floor(self):
@@ -215,10 +218,10 @@ class TestPsd:
            n=st.integers(64, 400),
            n_ch=st.integers(1, 3))
     def test_parseval_property(self, seed, n, n_ch):
-        """Integrated default-options PSD recovers per-channel power <= 5%."""
+        """Integrated single-segment PSD recovers per-channel power <= 5%."""
         rng = np.random.default_rng(seed)
         rec = MultiChannelRecord(100.0, rng.standard_normal((n_ch, n)))
-        freqs, dens = psd(rec)
+        freqs, dens = psd(rec, SINGLE)
         df = freqs[1] - freqs[0]
         power = np.mean(rec.data ** 2, axis=1)
         np.testing.assert_allclose(dens.sum(axis=1) * df, power, rtol=0.05)
@@ -227,8 +230,8 @@ class TestPsd:
 class TestCsdMatrix:
     def test_single_channel_equals_psd(self):
         rec = MultiChannelRecord(1000.0, gaussian_white(4096, 4))
-        G = csd_matrix(rec)
-        _, dens = psd(rec)
+        G = csd_matrix(rec, SINGLE)
+        _, dens = psd(rec, SINGLE)
         assert G.n_channels == 1
         np.testing.assert_allclose(np.real(G.values[:, 0, 0]), dens[0], rtol=1e-9)
 

@@ -20,6 +20,9 @@ from omabench.harness import CampaignConfig
 from omabench.metrics import mac, pair_to_reference
 
 CAMPAIGN = CampaignConfig()
+# The raw single-segment spectrum and the 6 dB floor several tests were written for.
+SINGLE = SpectralEstimatorOptions("rectangular", 1, 0.0)
+PEAKS_6DB = PeakOptions(prominence_db=6.0)
 
 
 def paired(mode_set, art, **kw):
@@ -54,7 +57,7 @@ class TestAnpsd:
     def _curve(self, n_ch=3, seed=0):
         rng = np.random.default_rng(seed)
         rec = MultiChannelRecord(1000.0, rng.standard_normal((n_ch, 2048)))
-        return anpsd(rec)
+        return anpsd(rec, SINGLE)
 
     def test_unit_integral(self):
         curve = self._curve()
@@ -62,37 +65,37 @@ class TestAnpsd:
 
     def test_single_channel_is_scaled_psd(self):
         rec = MultiChannelRecord(1000.0, gaussian_white(2048, 3))
-        freqs, dens = psd(rec)
-        curve = anpsd(rec)
+        freqs, dens = psd(rec, SINGLE)
+        curve = anpsd(rec, SINGLE)
         df = freqs[1] - freqs[0]
         np.testing.assert_allclose(curve.values, dens[0] / (dens[0].sum() * df),
                                    rtol=1e-12)
 
     def test_duplicated_channels_average_to_same_curve(self):
         x = gaussian_white(2048, 4)
-        one = anpsd(MultiChannelRecord(1000.0, x))
-        two = anpsd(MultiChannelRecord(1000.0, np.vstack([x, x])))
+        one = anpsd(MultiChannelRecord(1000.0, x), SINGLE)
+        two = anpsd(MultiChannelRecord(1000.0, np.vstack([x, x])), SINGLE)
         np.testing.assert_allclose(two.values, one.values, rtol=1e-12)
 
     def test_zero_power_channel_excluded(self):
         x = gaussian_white(2048, 5)
-        curve = anpsd(MultiChannelRecord(1000.0, np.vstack([x, np.zeros_like(x)])))
+        curve = anpsd(MultiChannelRecord(1000.0, np.vstack([x, np.zeros_like(x)])), SINGLE)
         assert curve.excluded_channels == (1,)
         assert curve.values.sum() * curve.df == pytest.approx(1.0, abs=1e-9)
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
-            anpsd(MultiChannelRecord(1000.0, np.zeros((2, 64))))
+            anpsd(MultiChannelRecord(1000.0, np.zeros((2, 64))), SINGLE)
 
     def test_single_channel_scaling_invariance(self):
         """Scaling one channel by any positive constant leaves the curve."""
         rng = np.random.default_rng(6)
         data = rng.standard_normal((3, 2048))
-        base = anpsd(MultiChannelRecord(1000.0, data))
+        base = anpsd(MultiChannelRecord(1000.0, data), SINGLE)
         for c in (1e-4, 3.7, 2.5e5):
             scaled = data.copy()
             scaled[1] *= c
-            curve = anpsd(MultiChannelRecord(1000.0, scaled))
+            curve = anpsd(MultiChannelRecord(1000.0, scaled), SINGLE)
             np.testing.assert_allclose(curve.values, base.values, rtol=1e-9)
 
     def test_grid_mismatch_rejected(self):
@@ -101,7 +104,7 @@ class TestAnpsd:
 
     def test_clean_record_peaks_at_reference_frequencies(self, cf):
         """The clean ANPSD has a local maximum within 0.2 Hz of each mode."""
-        curve = anpsd(cf.clean_record)
+        curve = anpsd(cf.clean_record, SINGLE)
         f, v = curve.frequencies, curve.values
         for fr in cf.reference_frequencies:
             sel = np.nonzero(np.abs(f - fr) <= 0.2)[0]
@@ -120,29 +123,29 @@ class TestPickPeaks:
         return v
 
     def test_two_isolated_peaks(self):
-        peaks = pick_peaks(self.GRID, self._spectrum(10.0, 20.0))
+        peaks = pick_peaks(self.GRID, self._spectrum(10.0, 20.0), PEAKS_6DB)
         assert [p.frequency for p in peaks] == [10.0, 20.0]
 
     def test_flat_spectrum(self):
-        assert pick_peaks(self.GRID, np.ones_like(self.GRID)) == []
+        assert pick_peaks(self.GRID, np.ones_like(self.GRID), PEAKS_6DB) == []
 
     def test_band_outside_grid(self):
-        opts = PeakOptions(band=(500.0, 600.0))
+        opts = PeakOptions(prominence_db=6.0, band=(500.0, 600.0))
         assert pick_peaks(self.GRID, self._spectrum(10.0), opts) == []
 
     def test_separation_keeps_strongest(self):
         """Two candidates 1 Hz apart collapse to the higher one."""
         v = self._spectrum(10.0, height=500.0)
         v[int(round(11.0 / 0.5))] = 1000.0
-        peaks = pick_peaks(self.GRID, v, PeakOptions(min_separation_hz=2.0))
+        peaks = pick_peaks(self.GRID, v, PeakOptions(prominence_db=6.0, min_separation_hz=2.0))
         assert len(peaks) == 1
         assert peaks[0].frequency == 11.0
 
     def test_prominence_floor(self):
         """A bump below the prominence threshold is not a peak."""
         v = np.ones_like(self.GRID)
-        v[20] = 2.0  # 3 dB over the median, default floor is 6 dB
-        assert pick_peaks(self.GRID, v) == []
+        v[20] = 2.0  # 3 dB over the median, under the 6 dB floor
+        assert pick_peaks(self.GRID, v, PEAKS_6DB) == []
         assert len(pick_peaks(self.GRID, v, PeakOptions(prominence_db=2.0))) == 1
 
     def test_refinement_stays_within_half_bin(self):
@@ -154,13 +157,13 @@ class TestPickPeaks:
             assert abs(p.frequency - self.GRID[p.bin_index]) <= 0.25 + 1e-12
 
     def test_sorted_ascending(self):
-        peaks = pick_peaks(self.GRID, self._spectrum(30.0, 10.0, 20.0))
+        peaks = pick_peaks(self.GRID, self._spectrum(30.0, 10.0, 20.0), PEAKS_6DB)
         f = [p.frequency for p in peaks]
         assert f == sorted(f)
 
     def test_mismatched_arrays_rejected(self):
         with pytest.raises(ValueError):
-            pick_peaks(self.GRID, np.ones(self.GRID.size + 1))
+            pick_peaks(self.GRID, np.ones(self.GRID.size + 1), PEAKS_6DB)
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
@@ -201,13 +204,13 @@ class TestPpIdentify:
     def test_clean_ss_mode_shape(self, beam_artifacts):
         """Mode-1 shape of the clean SS record matches FE with MAC >= 0.999."""
         art = beam_artifacts["SS"]
-        pairing = paired(pp_identify(art.clean_record), art)
+        pairing = paired(pp_identify(art.clean_record, SINGLE, PEAKS_6DB), art)
         assert pairing.matches[0] is not None
         assert pairing.matches[0][2] >= 0.999
 
     def test_clean_cf_all_modes_pair(self, cf):
         """All five clean CF modes pair with MAC >= 0.999."""
-        pairing = paired(pp_identify(cf.clean_record), cf)
+        pairing = paired(pp_identify(cf.clean_record, SINGLE, PEAKS_6DB), cf)
         assert pairing.n_paired == 5
         for m in pairing.matches:
             assert m[2] >= 0.999
@@ -217,7 +220,7 @@ class TestPpIdentify:
                        "higher modes", strict=True)
     def test_clean_cf_frequencies_within_two_bins(self, cf):
         """Five clean-record frequencies inside +-0.4 Hz of the reference."""
-        pairing = paired(pp_identify(cf.clean_record), cf)
+        pairing = paired(pp_identify(cf.clean_record, SINGLE, PEAKS_6DB), cf)
         for m, fr in zip(pairing.matches, cf.reference_frequencies):
             assert m is not None and abs(m[1] - fr) <= 0.4
 
@@ -231,22 +234,22 @@ class TestPpIdentify:
 
     def test_default_reference_channel_is_strongest(self, cf):
         """The free-end channel (node 11) carries the largest band power."""
-        mode_set = pp_identify(cf.clean_record)
+        mode_set = pp_identify(cf.clean_record, SINGLE, PEAKS_6DB)
         assert mode_set.notes[0] == "reference_channel=9"
         assert cf.clean_record.labels[9] == "node11"
 
     def test_reference_channel_override(self, cf):
-        mode_set = pp_identify(cf.clean_record, reference_channel=0)
+        mode_set = pp_identify(cf.clean_record, SINGLE, PEAKS_6DB, reference_channel=0)
         assert mode_set.notes[0] == "reference_channel=0"
         with pytest.raises(ValueError):
-            pp_identify(cf.clean_record, reference_channel=99)
+            pp_identify(cf.clean_record, SINGLE, PEAKS_6DB, reference_channel=99)
 
     def test_zero_reference_spectrum_drops_peaks(self):
         """Peaks without reference auto-power are dropped with a note."""
         t = np.arange(4096) / 1000.0
         x = np.sin(2.0 * np.pi * 100.0 * t)
         rec = MultiChannelRecord(1000.0, np.vstack([x, np.zeros_like(x)]))
-        mode_set = pp_identify(rec, reference_channel=1)
+        mode_set = pp_identify(rec, SINGLE, PEAKS_6DB, reference_channel=1)
         assert mode_set.modes == ()
         assert any("zero reference auto-spectrum" in n for n in mode_set.notes)
 
@@ -289,7 +292,7 @@ class TestFddIdentify:
 
     def test_clean_cf_all_modes(self, cf):
         """All five clean CF modes pair with MAC >= 0.995."""
-        pairing = paired(fdd_identify(cf.clean_record), cf)
+        pairing = paired(fdd_identify(cf.clean_record, SINGLE, PEAKS_6DB), cf)
         assert pairing.n_paired == 5
         for m in pairing.matches:
             assert m[2] >= 0.995
@@ -338,8 +341,8 @@ class TestMethodAgreement:
                        "split by more than one bin at mode 2", strict=True)
     def test_pp_fdd_agree_within_one_bin(self, cf):
         """Clean-record PP and FDD frequencies agree to one grid bin."""
-        pp = paired(pp_identify(cf.clean_record), cf)
-        fd = paired(fdd_identify(cf.clean_record), cf)
+        pp = paired(pp_identify(cf.clean_record, SINGLE, PEAKS_6DB), cf)
+        fd = paired(fdd_identify(cf.clean_record, SINGLE, PEAKS_6DB), cf)
         df = 1.0 / cf.clean_record.duration
         for a, b in zip(pp.matches, fd.matches):
             assert a is not None and b is not None

@@ -13,9 +13,9 @@ import pytest
 
 from omabench.dsp import MultiChannelRecord
 from omabench.metrics import mac
-from omabench.ssi import (SsiOptions, build_hankel, clip_to_passband, passband_edge,
-                          realize_modes, ssi_identify, stabilization,
-                          write_diagram_csv, _block_hankel)
+from omabench.freqdom import IdentifiedMode
+from omabench.ssi import (SsiOptions, build_hankel, clip_to_passband, realize_modes,
+                          ssi_identify, stabilization, _block_hankel)
 
 RAW = SsiOptions(block_rows=10, decimate=1, integrate=0)
 
@@ -243,20 +243,16 @@ class TestStabilization:
         assert abs(pole.frequency - f1) <= 0.05 * f1
         assert diagram.nearest_pole(5000.0) is None
 
-    def test_diagram_csv(self, cf, tmp_path):
-        fact = build_hankel(cf.clean_record)
-        diagram = stabilization(fact, (10, 20))
-        path = tmp_path / "diagram.csv"
-        write_diagram_csv(path, diagram)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "order,frequency_hz,damping,stable_f,stable_d,stable_mac"
-        assert len(lines) == len(diagram.poles) + 1
-
 
 class TestPassband:
     def test_edge_only_under_decimation(self):
-        assert passband_edge(10000.0, RAW) is None
-        assert passband_edge(10000.0, SsiOptions()) == pytest.approx(800.0)
+        """Raw data is not clipped; decimation by 5 at 10 kHz clips above 800 Hz."""
+        modes = tuple(IdentifiedMode(f, np.ones(2)) for f in (799.0, 801.0))
+        kept, notes = clip_to_passband(modes, ("n",), 10000.0, RAW)
+        assert kept == modes and notes == ("n",)
+        kept, notes = clip_to_passband(modes, ("n",), 10000.0, SsiOptions())
+        assert kept == modes[:1]
+        assert notes == ("n", "band limited to 800 Hz by decimation")
 
     def test_clip_drops_out_of_band_modes(self, cf):
         mode_set = ssi_identify(cf.clean_record)
