@@ -364,15 +364,17 @@ def identify_record(record: MultiChannelRecord, artifacts: BeamArtifacts,
     """Identify ``record`` with each of ``config.methods`` and score it
     against the beam's FE reference, by method name.
 
-    Numerical and validation errors of an identifier are recorded in its
-    result and never abort the others; any other exception propagates.
+    Numerical and validation errors of an identifier, including those of the
+    CSD matrix that PP and FDD share, are recorded in its result and never
+    abort the others; any other exception propagates.
     """
     ref_f = artifacts.reference_frequencies
-    shared_csd = "PP" in config.methods or "FDD" in config.methods
-    spectral = csd_matrix(record, config.estimator) if shared_csd else None
+    spectral = None
     methods: dict[str, MethodResult] = {}
     for name in config.methods:
         try:
+            if spectral is None and name in ("PP", "FDD"):
+                spectral = csd_matrix(record, config.estimator)
             mode_set = _IDENTIFIERS[name](record, config, spectral)
             methods[name] = _score_method(mode_set, ref_f, artifacts.reference_shapes, config)
         except (ValueError, np.linalg.LinAlgError) as exc:  # identifier failure: record it

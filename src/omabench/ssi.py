@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy import signal
+from scipy import linalg, signal
 
 from .dsp import MultiChannelRecord
 from .freqdom import IdentifiedMode, IdentifiedModeSet, align_to_real, unit_normalize
@@ -43,7 +44,10 @@ class SsiOptions:
     ``block_rows`` is the number of block rows in each of the past and the
     future part (the Hankel matrix has ``2 * block_rows`` block rows in
     total).  ``orders`` defaults to ``2, 4, ..., min(100, block_rows * l)``
-    where ``l`` is the channel count.
+    where ``l`` is the channel count.  The shift-invariance least squares
+    that gives ``A`` has ``(block_rows - 1) * l`` equations per column, so
+    default orders above that (92-100 on 10 channels, 82-90 on 9, at 10
+    block rows) are underdetermined and realized with the minimum-norm ``A``.
 
     ``decimate`` and ``integrate`` condition heavily oversampled
     acceleration data before the Hankel build.  Polyphase anti-aliased
@@ -116,6 +120,23 @@ class SubspaceFactorization:
     def max_order(self) -> int:
         return self.block_rows * self.n_channels
 
+    @cached_property
+    def _shift_qr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(R, Q^T g[l:])`` of ``g[:-l] = Q R``, shared by every model order.
+
+        ``g = u[:, :m] * sqrt(s[:m])`` with ``m = (block_rows - 1) * l``, the
+        row count of ``g[:-l]``.  Householder QR builds the first ``n``
+        columns of ``Q`` and ``R`` from the first ``n`` columns of ``g[:-l]``
+        alone, so the shift-invariance least squares of every order
+        ``n <= m`` is the triangular solve ``R[:n, :n] A = (Q^T g[l:])[:n, :n]``
+        (Doehler & Mevel 2012).
+        """
+        l = self.n_channels
+        m = self.max_order - l
+        g = self.u[:, :m] * np.sqrt(self.s[:m])
+        q, r = np.linalg.qr(g[:-l])
+        return r, q.T @ g[l:]
+
 
 @dataclass(frozen=True)
 class ModeCandidate:
@@ -182,19 +203,9 @@ def _block_hankel(data: np.ndarray, n_block_rows: int) -> np.ndarray:
     return h / np.sqrt(j)
 
 
-def build_hankel(record: MultiChannelRecord,
-                 options: SsiOptions = SsiOptions()) -> SubspaceFactorization:
-    """Project the future outputs onto the past and factorize once.
-
-    The block Hankel matrix has ``2 * block_rows`` block rows of all
-    channels and ``n_samples - 2 * block_rows + 1`` columns.  Its LQ
-    factorization (computed as the QR of the transpose) gives the orthogonal
-    projection of the future row space onto the past row space; the returned
-    object carries the SVD of that projection, which every model order
-    reuses.
-    """
-    i = options.block_rows
-    l = record.n_channels
+def _conditioned(record: MultiChannelRecord, options: SsiOptions) -> tuple[np.ndarray, float]:
+    """The channels after decimation, integration and mean removal, and their
+    sample interval."""
     dt = 1.0 / record.sample_rate
     data = record.data
     if options.decimate > 1:
@@ -204,17 +215,36 @@ def build_hankel(record: MultiChannelRecord,
         # Cumulative integration plus linear detrend: the drift from the
         # unknown integration constant must not enter the row space.
         data = signal.detrend(np.cumsum(data, axis=1) * dt, axis=1)
+    if options.detrend:
+        data = data - data.mean(axis=1, keepdims=True)
+    return data, dt
+
+
+def build_hankel(record: MultiChannelRecord,
+                 options: SsiOptions = SsiOptions()) -> SubspaceFactorization:
+    """Project the future outputs onto the past and factorize once.
+
+    The block Hankel matrix has ``2 * block_rows`` block rows of all
+    channels and ``n_samples - 2 * block_rows + 1`` columns.  Its LQ
+    factorization gives the orthogonal projection of the future row space
+    onto the past row space; only the past block rows are factorized (QR of
+    their transpose), and the future block rows are projected on that
+    orthonormal factor.  The returned object carries the SVD of the
+    projection, which every model order reuses.
+    """
+    i = options.block_rows
+    l = record.n_channels
+    data, dt = _conditioned(record, options)
     if 2 * i * l > data.shape[1]:
         raise ValueError("record too short: need (decimated) n_samples >= "
                          "2 * block_rows * channels")
-    if options.detrend:
-        data = data - data.mean(axis=1, keepdims=True)
     h = _block_hankel(data, 2 * i)
     li = l * i
-    r = np.linalg.qr(h.T, mode="r")
-    # H = L Q^T with L = R^T; the projection of the future block rows onto
-    # the past row space is L[li:, :li] expressed on the first li rows of Q^T.
-    proj = r[:li, li:].T
+    # H = L Q^T; the projection of the future block rows F onto the past row
+    # space is L[li:, :li] = F Q1, where Q1 is the orthonormal factor of the
+    # past rows alone (QR of their transpose, which is already Fortran-ordered).
+    proj, _ = linalg.qr_multiply(h[:li].T, h[li:], mode="right",
+                                 overwrite_a=True, overwrite_c=True)
     u, s, _ = np.linalg.svd(proj)
     return SubspaceFactorization(u, s, l, i, dt)
 
@@ -224,9 +254,11 @@ def realize_modes(fact: SubspaceFactorization, order: int) -> list[ModeCandidate
 
     The observability range is ``u[:, :order] * sqrt(s[:order])``; ``A``
     follows from its shift invariance by least squares and ``C`` is its
-    first block row.  Discrete eigenvalues are mapped to continuous poles;
-    only one of each conjugate pair is kept and poles must be stable
-    (``|mu| < 1``) with damping inside ``(0, 0.2)``.
+    first block row.  Orders up to ``(block_rows - 1) * l`` solve that least
+    squares from the factorization's one shared QR; higher orders leave it
+    underdetermined and take the minimum-norm ``A``.  Discrete eigenvalues
+    are mapped to continuous poles; only one of each conjugate pair is kept
+    and poles must be stable (``|mu| < 1``) with damping inside ``(0, 0.2)``.
     """
     if not (1 <= order <= fact.max_order):
         raise ValueError("order out of range for this factorization")
@@ -242,7 +274,11 @@ def realize_modes(fact: SubspaceFactorization, order: int) -> list[ModeCandidate
     gamma = fact.u[:, :n_eff] * np.sqrt(s[:n_eff])
     if gamma.shape[0] <= l:
         return []
-    a, *_ = np.linalg.lstsq(gamma[:-l], gamma[l:], rcond=None)
+    if n_eff <= gamma.shape[0] - l:
+        r, t = fact._shift_qr
+        a = linalg.solve_triangular(r[:n_eff, :n_eff], t[:n_eff, :n_eff])
+    else:
+        a, *_ = np.linalg.lstsq(gamma[:-l], gamma[l:], rcond=None)
     c = gamma[:l]
     mu, psi = np.linalg.eig(a)
     out = []

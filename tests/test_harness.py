@@ -224,6 +224,13 @@ class TestRunCampaign:
         assert (r.beam_id, r.noise_level, r.run_index) == ("CF", 0.05, 0)
         assert report.failure_counts == {}
 
+    def test_short_record_fails_each_method(self):
+        """A record too short for the Welch plan and for SSI files one
+        failure per method; the shared CSD does not abort the campaign."""
+        report = run_campaign(small_config(beams=(BeamConfig("CF", "CF", duration=0.005),),
+                                           methods=("PP", "FDD", "SSI")))
+        assert report.failure_counts == {"PP": 1, "FDD": 1, "SSI": 1}
+
     def test_noise_free_level_collapses_to_one_run(self):
         """NL = 0 is deterministic, so extra runs would only repeat it."""
         report = run_campaign(small_config(noise_levels=(0.0,), runs=5))
