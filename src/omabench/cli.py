@@ -18,8 +18,8 @@ import numpy as np
 from .beam import SUPPORTS
 from .dsp import MultiChannelRecord
 from .harness import (BeamConfig, BenchmarkReport, CampaignConfig, DEFAULT_SEED,
-                      fe_reference, identify_record, run_campaign, simulate_beam,
-                      simulate_beams, summarize_and_tables)
+                      _fmt, _write_csv, fe_reference, identify_record, run_campaign,
+                      simulate_beam, simulate_beams, summarize_and_tables)
 from .noise import NoiseSpec, corrupt
 
 __all__ = ["main", "run_cli", "resolve_jobs", "DEFAULT_SEED"]
@@ -139,15 +139,10 @@ def _cmd_identify(args) -> int:
     result = identify_record(record, art, replace(CampaignConfig(), methods=(method,)))[method]
     if result.failed:
         raise ValueError(result.notes[0].removeprefix("failed: "))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("mode,reference_hz,frequency_hz,rel_err_pct,mac\n")
-        for k, o in enumerate(result.modes):
-            ref = float(art.reference_frequencies[k])
-            if o.identified:
-                fh.write(f"{k+1},{ref!r},{float(o.frequency)!r},{o.rel_err_pct!r},"
-                         f"{float(o.mac)!r}\n")
-            else:
-                fh.write(f"{k+1},{ref!r},-,-,-\n")
+    _write_csv(args.out, ["mode", "reference_hz", "frequency_hz", "rel_err_pct", "mac"],
+               ([str(k + 1), _fmt(ref), _fmt(o.frequency), _fmt(o.rel_err_pct),
+                 _fmt(o.mac if o.identified else None)]
+                for k, (ref, o) in enumerate(zip(art.reference_frequencies, result.modes))))
     n_paired = sum(o.identified for o in result.modes)
     print(f"wrote {args.out}: {n_paired}/{len(result.modes)} modes paired "
           f"({method}, {len(result.identified_frequencies)} candidates)")

@@ -121,9 +121,13 @@ class CampaignConfig:
             raise ValueError("runs must be >= 1")
         if any(lv < 0 for lv in self.noise_levels) or not self.noise_levels:
             raise ValueError("noise levels must be >= 0 and non-empty")
+        if len(set(self.noise_levels)) != len(self.noise_levels):
+            raise ValueError("noise levels must be distinct")
         methods = tuple(m.upper() for m in self.methods)
         if not methods or any(m not in METHOD_NAMES for m in methods):
             raise ValueError(f"methods must be a non-empty subset of {METHOD_NAMES}")
+        if len(set(methods)) != len(methods):
+            raise ValueError("methods must be distinct")
         object.__setattr__(self, "methods", methods)
         ids = [b.beam_id for b in self.beams]
         if len(set(ids)) != len(ids):

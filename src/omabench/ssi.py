@@ -13,8 +13,7 @@ modes by frequency/damping/shape stability against the previous order.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -26,7 +25,6 @@ from .metrics import PairingOptions, mac
 
 __all__ = [
     "SsiOptions",
-    "ModeCandidate",
     "PoleRecord",
     "SubspaceFactorization",
     "StabilizationDiagram",
@@ -84,6 +82,8 @@ class SsiOptions:
             orders = tuple(int(o) for o in self.orders)
             if not orders or any(o < 1 for o in orders):
                 raise ValueError("orders must be positive")
+            if len(set(orders)) != len(orders):
+                raise ValueError("orders must be distinct")
             object.__setattr__(self, "orders", orders)
         if self.freq_rel <= 0 or self.damping_abs <= 0:
             raise ValueError("freq_rel and damping_abs must be positive")
@@ -121,6 +121,12 @@ class SubspaceFactorization:
         return self.block_rows * self.n_channels
 
     @cached_property
+    def rank(self) -> int:
+        """Singular values above ``1e-12 * s[0]``, at least one; higher
+        model orders are realized at this order."""
+        return max(1, int(np.count_nonzero(self.s > self.s[0] * 1e-12)))
+
+    @cached_property
     def _shift_qr(self) -> tuple[np.ndarray, np.ndarray]:
         """``(R, Q^T g[l:])`` of ``g[:-l] = Q R``, shared by every model order.
 
@@ -139,31 +145,16 @@ class SubspaceFactorization:
 
 
 @dataclass(frozen=True)
-class ModeCandidate:
-    """One pole retained after the physical-pole filters."""
-
-    frequency: float
-    damping: float
-    shape: np.ndarray
-    order: int
-
-
-@dataclass(frozen=True)
 class PoleRecord:
-    """Diagram entry: a candidate pole with its stability flags."""
+    """One swept pole.  ``stable`` and ``mac_prev`` compare it with the
+    nearest-in-frequency pole of the previous swept order."""
 
     order: int
     frequency: float
     damping: float
     shape: np.ndarray
-    stable_f: bool
-    stable_d: bool
-    stable_mac: bool
-    mac_prev: float
-
-    @property
-    def stable(self) -> bool:
-        return self.stable_f and self.stable_d and self.stable_mac
+    stable: bool = False
+    mac_prev: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -172,7 +163,6 @@ class StabilizationDiagram:
 
     poles: tuple[PoleRecord, ...]
     selected: tuple[IdentifiedMode, ...]
-    orders: tuple[int, ...]
     notes: tuple[str, ...] = ()
 
     def stable_poles(self) -> list[PoleRecord]:
@@ -249,98 +239,74 @@ def build_hankel(record: MultiChannelRecord,
     return SubspaceFactorization(u, s, l, i, dt)
 
 
-def realize_modes(fact: SubspaceFactorization, order: int) -> list[ModeCandidate]:
-    """Realize one model order and return the physically plausible poles.
+def realize_modes(fact: SubspaceFactorization, order: int) -> list[PoleRecord]:
+    """Realize one model order and return its physically plausible poles,
+    ascending in frequency.
 
-    The observability range is ``u[:, :order] * sqrt(s[:order])``; ``A``
-    follows from its shift invariance by least squares and ``C`` is its
-    first block row.  Orders up to ``(block_rows - 1) * l`` solve that least
-    squares from the factorization's one shared QR; higher orders leave it
-    underdetermined and take the minimum-norm ``A``.  Discrete eigenvalues
-    are mapped to continuous poles; only one of each conjugate pair is kept
-    and poles must be stable (``|mu| < 1``) with damping inside ``(0, 0.2)``.
+    The observability range is ``u[:, :n] * sqrt(s[:n])`` with
+    ``n = min(order, fact.rank)``; ``A`` follows from its shift invariance
+    by least squares and ``C`` is its first block row.  Orders up to
+    ``(block_rows - 1) * l`` solve that least squares from the
+    factorization's one shared QR; higher orders leave it underdetermined
+    and take the minimum-norm ``A``.  Discrete eigenvalues are mapped to
+    continuous poles; only one of each conjugate pair is kept and poles must
+    be stable (``|mu| < 1``) with damping inside ``(0, 0.2)``.
     """
     if not (1 <= order <= fact.max_order):
         raise ValueError("order out of range for this factorization")
     l = fact.n_channels
-    s = fact.s
-    n_eff = order
-    tiny = s[0] * 1e-12
-    while n_eff > 1 and s[n_eff - 1] <= tiny:
-        n_eff -= 1
-    if n_eff < order:
-        warnings.warn(f"projection rank {n_eff} below requested order {order}; "
-                      "order truncated", stacklevel=2)
-    gamma = fact.u[:, :n_eff] * np.sqrt(s[:n_eff])
+    n = min(order, fact.rank)
+    gamma = fact.u[:, :n] * np.sqrt(fact.s[:n])
     if gamma.shape[0] <= l:
         return []
-    if n_eff <= gamma.shape[0] - l:
+    if n <= gamma.shape[0] - l:
         r, t = fact._shift_qr
-        a = linalg.solve_triangular(r[:n_eff, :n_eff], t[:n_eff, :n_eff])
+        a = linalg.solve_triangular(r[:n, :n], t[:n, :n])
     else:
         a, *_ = np.linalg.lstsq(gamma[:-l], gamma[l:], rcond=None)
     c = gamma[:l]
     mu, psi = np.linalg.eig(a)
-    out = []
-    for k in range(mu.size):
-        m = mu[k]
-        if abs(m) >= 1.0 or m.imag <= 0.0:
-            continue
-        lam = np.log(m) / fact.dt
-        w = abs(lam)
-        if w == 0.0:
-            continue
-        freq = w / (2.0 * np.pi)
-        zeta = -lam.real / w
-        if not (0.0 < zeta < 0.2):
-            continue
-        shape = unit_normalize(align_to_real(c @ psi[:, k]))
-        out.append(ModeCandidate(float(freq), float(zeta), shape, order))
-    out.sort(key=lambda mc: mc.frequency)
-    return out
+    # np.hypot rounds as the scalar abs() of a complex number; array np.abs
+    # can differ in the last bit.
+    upper = np.flatnonzero((np.hypot(mu.real, mu.imag) < 1.0) & (mu.imag > 0.0))
+    lam = np.log(mu[upper]) / fact.dt
+    w = np.hypot(lam.real, lam.imag)
+    zeta = -lam.real / w
+    poles = [PoleRecord(order, float(wk / (2.0 * np.pi)), float(zk),
+                        unit_normalize(align_to_real(c @ psi[:, k])))
+             for k, wk, zk in zip(upper, w, zeta) if 0.0 < zk < 0.2]
+    return sorted(poles, key=lambda p: p.frequency)
 
 
-def _flag_poles(current: list[ModeCandidate], previous: list[ModeCandidate],
+def _flag_poles(current: list[PoleRecord], previous: list[PoleRecord],
                 tol: SsiOptions) -> list[PoleRecord]:
-    records = []
-    for cand in current:
-        if previous:
-            prev = min(previous, key=lambda p: abs(p.frequency - cand.frequency))
-            df = abs(cand.frequency - prev.frequency) / prev.frequency
-            dz = abs(cand.damping - prev.damping)
-            m = mac(cand.shape, prev.shape)
-            rec = PoleRecord(cand.order, cand.frequency, cand.damping, cand.shape,
-                             df <= tol.freq_rel, dz <= tol.damping_abs,
-                             m >= tol.mac_min, m)
-        else:
-            rec = PoleRecord(cand.order, cand.frequency, cand.damping, cand.shape,
-                             False, False, False, 0.0)
-        records.append(rec)
-    return records
+    if not previous:
+        return current
+    prev_f = np.array([p.frequency for p in previous])
+    flagged = []
+    for pole in current:
+        prev = previous[int(np.argmin(np.abs(prev_f - pole.frequency)))]
+        m = mac(pole.shape, prev.shape)
+        stable = (abs(pole.frequency - prev.frequency) / prev.frequency <= tol.freq_rel
+                  and abs(pole.damping - prev.damping) <= tol.damping_abs
+                  and m >= tol.mac_min)
+        flagged.append(replace(pole, stable=stable, mac_prev=m))
+    return flagged
 
 
 def _cluster_stable(stable: list[PoleRecord], tol: SsiOptions):
     """Group stable poles by relative frequency gaps and select modes."""
-    selected = []
     stable = sorted(stable, key=lambda p: p.frequency)
-    cluster: list[PoleRecord] = []
-
-    def flush():
+    f = np.array([p.frequency for p in stable])
+    cuts = list(np.flatnonzero(np.diff(f) > tol.freq_rel * f[:-1]) + 1)
+    selected = []
+    for lo, hi in zip([0] + cuts, cuts + [len(stable)]):
+        cluster = stable[lo:hi]
         if len(cluster) >= tol.min_cluster_size:
-            freqs = np.array([p.frequency for p in cluster])
-            damps = np.array([p.damping for p in cluster])
             best = max(cluster, key=lambda p: p.mac_prev)
-            selected.append(IdentifiedMode(float(np.median(freqs)), best.shape,
-                                           float(np.median(damps)),
+            selected.append(IdentifiedMode(float(np.median(f[lo:hi])), best.shape,
+                                           float(np.median([p.damping for p in cluster])),
                                            {"cluster_size": float(len(cluster))}))
-        cluster.clear()
-
-    for p in stable:
-        if cluster and (p.frequency - cluster[-1].frequency) > tol.freq_rel * cluster[-1].frequency:
-            flush()
-        cluster.append(p)
-    flush()
-    selected.sort(key=lambda m: m.frequency)
     return tuple(_merge_duplicate_shapes(selected, tol))
 
 
@@ -380,24 +346,28 @@ def stabilization(fact: SubspaceFactorization, orders,
     damping at most ``damping_abs`` (absolute) and the shape MAC reaches
     ``mac_min``.  Stable poles are clustered by relative frequency gaps; a
     cluster needs ``min_cluster_size`` members and reports its median
-    frequency and damping with the shape of its highest-MAC pole.
+    frequency and damping with the shape of its highest-MAC pole.  Orders
+    must be distinct; a sweep above the projection rank is noted.
     """
-    orders = tuple(int(o) for o in orders)
+    orders = sorted(int(o) for o in orders)
     if not orders:
         raise ValueError("at least one model order is required")
+    if len(set(orders)) != len(orders):
+        raise ValueError("model orders must be distinct")
     notes = []
     if len(orders) == 1:
         notes.append("single model order: stability cannot be assessed")
+    if orders[-1] > fact.rank:
+        notes.append(f"projection rank {fact.rank} below model order {orders[-1]}; "
+                     "higher orders truncated")
     poles: list[PoleRecord] = []
-    previous: list[ModeCandidate] = []
-    for order in sorted(orders):
-        current = realize_modes(fact, order)
-        poles.extend(_flag_poles(current, previous, options))
-        previous = current
-    diagram = StabilizationDiagram(tuple(poles),
-                                   _cluster_stable([p for p in poles if p.stable], options),
-                                   tuple(sorted(orders)), tuple(notes))
-    return diagram
+    previous: list[PoleRecord] = []
+    for order in orders:
+        previous = _flag_poles(realize_modes(fact, order), previous, options)
+        poles.extend(previous)
+    return StabilizationDiagram(tuple(poles),
+                                _cluster_stable([p for p in poles if p.stable], options),
+                                tuple(notes))
 
 
 def clip_to_passband(selected, notes, sample_rate: float,

@@ -78,7 +78,9 @@ class TestExitCodes:
                     {"estimator": {"segmentz": 9}},
                     {"beams": [{"beam_id": "X", "support": "CF", "spam": 1.0}]},
                     {"runs": "3"}, {"beams": 5}, {"pairing": {"f_window": 1.5}},
-                    {"ssi": {"mac_min": 1.5}}, {"ssi": {"freq_rel": -0.01}}):
+                    {"ssi": {"mac_min": 1.5}}, {"ssi": {"freq_rel": -0.01}},
+                    {"ssi": {"orders": [20, 20]}}, {"noise_levels": [0.5, 0.5]},
+                    {"methods": ["pp", "PP"]}):
             bad_cfg.write_text(json.dumps(doc))
             assert run_cli(["bench", "--config", str(bad_cfg)]) == 2, doc
         err = capsys.readouterr().err
@@ -89,6 +91,9 @@ class TestExitCodes:
         assert "f_window must lie in (0, 1)" in err
         assert "mac_min must lie in (0, 1]" in err
         assert "freq_rel and damping_abs must be positive" in err
+        assert "orders must be distinct" in err
+        assert "noise levels must be distinct" in err
+        assert "methods must be distinct" in err
 
     def test_module_entry_point(self):
         """``python -m omabench.cli`` runs the command line."""

@@ -88,6 +88,10 @@ class TestConfig:
             small_config(methods=("XX",))
         with pytest.raises(ValueError):
             small_config(noise_levels=(-0.1,))
+        with pytest.raises(ValueError, match="noise levels must be distinct"):
+            small_config(noise_levels=(0.5, 0.5))
+        with pytest.raises(ValueError, match="methods must be distinct"):
+            small_config(methods=("pp", "PP"))
         with pytest.raises(ValueError):
             small_config(beams=(BeamConfig("CF", "CF"), BeamConfig("CF", "CF")))
         with pytest.raises(ValueError):

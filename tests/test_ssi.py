@@ -8,16 +8,21 @@ invariants.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from omabench.dsp import MultiChannelRecord
 from omabench.metrics import mac
 from omabench.freqdom import IdentifiedMode, align_to_real, unit_normalize
+from omabench.harness import CampaignConfig, identify_record
 from omabench.ssi import (SsiOptions, build_hankel, clip_to_passband, realize_modes,
                           ssi_identify, stabilization, _block_hankel, _conditioned)
 
 RAW = SsiOptions(block_rows=10, decimate=1, integrate=0)
+FREE_DECAY = replace(RAW, detrend=False)
 
 
 def two_dof_discrete(dt: float = 0.01):
@@ -32,6 +37,17 @@ def two_dof_discrete(dt: float = 0.01):
         a[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[m.real, m.imag], [-m.imag, m.real]]
     c = np.array([[1.0, 0.0, 0.7, 0.0], [0.3, 0.1, -0.5, 0.2]])
     return a, c, mu, f, z
+
+
+def two_dof_free_decay(n_samples: int) -> MultiChannelRecord:
+    """Noise-free outputs of :func:`two_dof_discrete` from a fixed initial state."""
+    a, c, _, _, _ = two_dof_discrete()
+    x = np.array([1.0, 0.5, -0.8, 0.3])
+    y = np.empty((2, n_samples))
+    for k in range(n_samples):
+        y[:, k] = c @ x
+        x = a @ x
+    return MultiChannelRecord(100.0, y)
 
 
 def lstsq_candidates(fact, order: int) -> list[tuple[float, float, np.ndarray]]:
@@ -67,6 +83,8 @@ class TestHankelOptions:
             SsiOptions(orders=())
         with pytest.raises(ValueError):
             SsiOptions(orders=(0, 2))
+        with pytest.raises(ValueError, match="distinct"):
+            SsiOptions(orders=(20, 4, 20))
         for bad in ({"freq_rel": 0.0}, {"damping_abs": -0.01}, {"mac_min": 0.0},
                     {"mac_min": 1.5}, {"min_cluster_size": 0}):
             with pytest.raises(ValueError):
@@ -150,15 +168,8 @@ class TestRealizeModes:
         range, so the shift-invariance estimate of A is exact up to
         round-off.
         """
-        a, c, mu, _, _ = two_dof_discrete()
-        x = np.array([1.0, 0.5, -0.8, 0.3])
-        y = np.empty((2, 3000))
-        for k in range(3000):
-            y[:, k] = c @ x
-            x = a @ x
-        rec = MultiChannelRecord(100.0, y)
-        fact = build_hankel(rec, SsiOptions(block_rows=10, decimate=1,
-                                               integrate=0, detrend=False))
+        _, _, mu, _, _ = two_dof_discrete()
+        fact = build_hankel(two_dof_free_decay(3000), FREE_DECAY)
         cands = realize_modes(fact, 4)
         assert len(cands) == 2
         mu_hat = []
@@ -247,19 +258,32 @@ class TestRealizeModes:
         with pytest.raises(ValueError):
             realize_modes(fact, 9)
 
-    def test_rank_deficiency_warns(self):
-        """Requesting more order than the data has rank trips a diagnostic."""
-        a, c, _, _, _ = two_dof_discrete()
-        x = np.array([1.0, 0.5, -0.8, 0.3])
-        y = np.empty((2, 1000))
-        for k in range(1000):
-            y[:, k] = c @ x
-            x = a @ x
-        rec = MultiChannelRecord(100.0, y)
-        fact = build_hankel(rec, SsiOptions(block_rows=10, decimate=1,
-                                               integrate=0, detrend=False))
-        with pytest.warns(UserWarning, match="order truncated"):
-            realize_modes(fact, 12)
+    def test_rank_deficiency_noted(self):
+        """Orders above the projection rank are realized at the rank, and the
+        truncation is noted in the diagram, the mode set and the campaign
+        cell's method result."""
+        rec = two_dof_free_decay(1000)
+        opts = replace(FREE_DECAY, orders=tuple(range(2, 13, 2)))
+        fact = build_hankel(rec, opts)
+        assert fact.rank < 12
+
+        def poles(order):
+            return [(p.frequency, p.damping, p.shape.tolist())
+                    for p in realize_modes(fact, order)]
+
+        assert poles(12) == poles(fact.rank)
+
+        def truncated(notes):
+            return any("truncated" in n for n in notes)
+
+        assert truncated(stabilization(fact, opts.orders, opts).notes)
+        assert truncated(ssi_identify(rec, opts).notes)
+        _, c, _, _, _ = two_dof_discrete()
+        art = SimpleNamespace(reference_frequencies=np.array([1.5, 4.0]),
+                              reference_shapes=c[:, [0, 2]])
+        result = identify_record(rec, art, replace(CampaignConfig(), methods=("SSI",),
+                                                   ssi=opts))["SSI"]
+        assert not result.failed and truncated(result.notes)
 
 
 class TestStabilization:
@@ -284,6 +308,11 @@ class TestStabilization:
     def test_empty_orders_rejected(self, cf):
         with pytest.raises(ValueError):
             stabilization(build_hankel(cf.clean_record), [])
+
+    def test_repeated_orders_rejected(self, cf):
+        """A repeated order would be flagged stable against its own poles."""
+        with pytest.raises(ValueError, match="distinct"):
+            stabilization(build_hankel(cf.clean_record), [20] * 4)
 
     def test_monotone_information(self, cf):
         """Extending the order sweep never drops a stable physical cluster."""
