@@ -7,9 +7,9 @@ identification, and benchmarks identification quality over a Monte Carlo
 campaign.
 """
 
-from .beam import (BeamModel, BeamSection, GlobalSystem, Material, ModalSolution,
-                   SUPPORTS, analytical_frequencies, assemble_model,
-                   characteristic_roots, modal_analysis, transient_response)
+from .beam import (BeamModel, GlobalSystem, ModalSolution, SUPPORTS,
+                   analytical_frequencies, assemble_model, characteristic_roots,
+                   modal_analysis, transient_response)
 from .dsp import (MultiChannelRecord, SpectralEstimatorOptions, SpectralMatrix,
                   band_limited_force, csd_matrix, derive_seed, psd)
 from .freqdom import (AnpsdCurve, IdentifiedMode, IdentifiedModeSet, Peak,

@@ -25,8 +25,6 @@ from scipy.signal import lfilter
 from .dsp import MultiChannelRecord
 
 __all__ = [
-    "Material",
-    "BeamSection",
     "BeamModel",
     "GlobalSystem",
     "ModalSolution",
@@ -43,47 +41,15 @@ SUPPORTS = ("CF", "SS", "CS", "CC")
 
 
 @dataclass(frozen=True)
-class Material:
-    """Linear elastic material: Young's modulus [Pa], density [kg/m^3]."""
-
-    elastic_modulus: float
-    density: float
-    poisson_ratio: float = 0.3
-
-    def __post_init__(self):
-        if self.elastic_modulus <= 0 or self.density <= 0:
-            raise ValueError("elastic modulus and density must be positive")
-
-
-@dataclass(frozen=True)
-class BeamSection:
-    """Rectangular cross-section (width x height, in meters)."""
-
-    width: float
-    height: float
-
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("section dimensions must be positive")
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    @property
-    def second_moment(self) -> float:
-        """Second moment of area about the bending axis, w*h^3/12."""
-        return self.width * self.height ** 3 / 12.0
-
-
-@dataclass(frozen=True)
 class BeamModel:
-    """Discretized single-span beam.
+    """Discretized single-span prismatic beam with a rectangular section.
 
     Parameters
     ----------
-    material, section
-        Physical properties, uniform along the span.
+    elastic_modulus, density : float
+        Young's modulus [Pa] and density [kg/m^3], uniform along the span.
+    width, height : float
+        Rectangular cross-section in meters; bending is about the width axis.
     span : float
         Total length in meters.
     n_elements : int
@@ -94,14 +60,20 @@ class BeamModel:
         Uniform modal damping ratio applied to every mode.
     """
 
-    material: Material
-    section: BeamSection
+    elastic_modulus: float
+    density: float
+    width: float
+    height: float
     span: float
     n_elements: int
     support: str
-    damping_ratio: float = 0.025
+    damping_ratio: float
 
     def __post_init__(self):
+        if self.elastic_modulus <= 0 or self.density <= 0:
+            raise ValueError("elastic modulus and density must be positive")
+        if self.width <= 0 or self.height <= 0:
+            raise ValueError("section dimensions must be positive")
         if self.span <= 0:
             raise ValueError("span must be positive")
         if self.n_elements < 1:
@@ -113,11 +85,12 @@ class BeamModel:
 
     @property
     def flexural_rigidity(self) -> float:
-        return self.material.elastic_modulus * self.section.second_moment
+        """E * I with the second moment of area I = w*h^3/12."""
+        return self.elastic_modulus * (self.width * self.height ** 3 / 12.0)
 
     @property
     def mass_per_length(self) -> float:
-        return self.material.density * self.section.area
+        return self.density * (self.width * self.height)
 
 
 @dataclass(frozen=True)

@@ -155,6 +155,8 @@ class MultiChannelRecord:
         t = raw[:, 0]
         if t.size < 2:
             raise ValueError("record CSV must hold at least 2 samples")
+        if t[-1] <= t[0]:
+            raise ValueError("record CSV time column must increase")
         rate = (t.size - 1) / (t[-1] - t[0])
         # Integral sampling rates are recovered exactly.
         if abs(rate - round(rate)) < 1e-6 * rate:

@@ -20,8 +20,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .beam import (BeamModel, BeamSection, GlobalSystem, Material, ModalSolution,
-                   SUPPORTS, assemble_model, modal_analysis, transient_response)
+from .beam import (BeamModel, GlobalSystem, ModalSolution, SUPPORTS, assemble_model,
+                   modal_analysis, transient_response)
 from .dsp import (MultiChannelRecord, SpectralEstimatorOptions, band_limited_force,
                   csd_matrix, derive_seed)
 from .freqdom import (IdentifiedModeSet, PeakOptions, anpsd, fdd_identify, pp_identify,
@@ -59,7 +59,13 @@ METHOD_NAMES = ("PP", "FDD", "SSI")
 
 @dataclass(frozen=True)
 class BeamConfig:
-    """One benchmark beam plus its excitation settings."""
+    """One benchmark beam plus its excitation settings.
+
+    Every beam default lives here; :meth:`model` hands the beam fields to
+    :class:`BeamModel`, whose range checks therefore run when the config is
+    built.  ``poisson_ratio`` stays in the JSON layout but is unused:
+    Euler-Bernoulli bending does not depend on it.
+    """
 
     beam_id: str
     support: str
@@ -79,14 +85,12 @@ class BeamConfig:
     def __post_init__(self):
         if not self.beam_id:
             raise ValueError("beam_id must be non-empty")
-        if self.support not in SUPPORTS:
-            raise ValueError(f"support must be one of {SUPPORTS}")
         if self.dt <= 0 or self.duration <= 0:
             raise ValueError("dt and duration must be positive")
+        self.model()
 
     def model(self) -> BeamModel:
-        return BeamModel(Material(self.elastic_modulus, self.density, self.poisson_ratio),
-                         BeamSection(self.width, self.height),
+        return BeamModel(self.elastic_modulus, self.density, self.width, self.height,
                          self.span, self.n_elements, self.support, self.damping_ratio)
 
 
@@ -243,7 +247,6 @@ class BeamArtifacts:
     """Cached per-beam objects shared by every run of a campaign."""
 
     config: BeamConfig
-    model: BeamModel
     system: GlobalSystem
     modal: ModalSolution
     reference_frequencies: np.ndarray
@@ -253,13 +256,15 @@ class BeamArtifacts:
 
 def fe_reference(bc: BeamConfig, n_modes: int = CampaignConfig.n_modes) -> BeamArtifacts:
     """Assemble and solve one beam and keep its lowest FE modes; no transient."""
+    if n_modes < 1:
+        raise ValueError("n_modes must be >= 1")
     model = bc.model()
     system = assemble_model(model)
     if system.n_channels == 0:
         raise ValueError(f"beam {bc.beam_id} has no measurement channels")
     modal = modal_analysis(model, system)
     n_modes = min(n_modes, modal.n_modes)
-    return BeamArtifacts(bc, model, system, modal, modal.frequencies[:n_modes],
+    return BeamArtifacts(bc, system, modal, modal.frequencies[:n_modes],
                          modal.channel_shapes(system)[:, :n_modes])
 
 

@@ -347,22 +347,26 @@ def stabilization(fact: SubspaceFactorization, orders,
     ``mac_min``.  Stable poles are clustered by relative frequency gaps; a
     cluster needs ``min_cluster_size`` members and reports its median
     frequency and damping with the shape of its highest-MAC pole.  Orders
-    must be distinct; a sweep above the projection rank is noted.
+    must be distinct.  Orders above the projection rank all realize the
+    rank-order model, so it is swept once and the truncation is noted.
     """
     orders = sorted(int(o) for o in orders)
     if not orders:
         raise ValueError("at least one model order is required")
     if len(set(orders)) != len(orders):
         raise ValueError("model orders must be distinct")
+    if orders[0] < 1 or orders[-1] > fact.max_order:
+        raise ValueError("order out of range for this factorization")
+    realized = sorted({min(o, fact.rank) for o in orders})
     notes = []
-    if len(orders) == 1:
+    if len(realized) == 1:
         notes.append("single model order: stability cannot be assessed")
     if orders[-1] > fact.rank:
         notes.append(f"projection rank {fact.rank} below model order {orders[-1]}; "
                      "higher orders truncated")
     poles: list[PoleRecord] = []
     previous: list[PoleRecord] = []
-    for order in orders:
+    for order in realized:
         previous = _flag_poles(realize_modes(fact, order), previous, options)
         poles.extend(previous)
     return StabilizationDiagram(tuple(poles),

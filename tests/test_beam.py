@@ -8,10 +8,12 @@ logarithmic decrement, energy decay).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from omabench.beam import (BeamModel, BeamSection, Material, SUPPORTS,
+from omabench.beam import (BeamModel, SUPPORTS,
                            analytical_frequencies, assemble_model,
                            characteristic_roots, element_matrices,
                            modal_analysis, transient_response, _modal_superposition,
@@ -19,12 +21,10 @@ from omabench.beam import (BeamModel, BeamSection, Material, SUPPORTS,
 from omabench.dsp import MultiChannelRecord
 from omabench.metrics import mac
 
-STEEL = Material(2.0e11, 7850.0, 0.3)
-SECTION = BeamSection(0.01, 0.01)
-
 
 def standard_beam(support: str, n_elements: int = 10) -> BeamModel:
-    return BeamModel(STEEL, SECTION, 1.0, n_elements, support)
+    """1 m steel beam with a 10x10 mm section and 2.5% modal damping."""
+    return BeamModel(2.0e11, 7850.0, 0.01, 0.01, 1.0, n_elements, support, 0.025)
 
 
 def _loop_oracle(omega, zeta, modal_forces, dt, n_out):
@@ -42,19 +42,17 @@ def _loop_oracle(omega, zeta, modal_forces, dt, n_out):
 
 class TestTypes:
     def test_section_derived_properties(self):
-        """A = w*h and I = w*h^3/12 for the 10x10 mm section."""
-        assert SECTION.area == pytest.approx(1e-4, rel=1e-12)
-        assert SECTION.second_moment == pytest.approx(1e-4 / 12 * 1e-4, rel=1e-12)
+        """EI = E*w*h^3/12 and rho*A = rho*w*h for the 10x10 mm steel section."""
+        beam = standard_beam("CF")
+        assert beam.flexural_rigidity == pytest.approx(2.0e11 * 1e-4 / 12 * 1e-4, rel=1e-12)
+        assert beam.mass_per_length == pytest.approx(7850.0 * 1e-4, rel=1e-12)
 
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            Material(-1.0, 7850.0)
-        with pytest.raises(ValueError):
-            BeamSection(0.01, 0.0)
-        with pytest.raises(ValueError):
-            BeamModel(STEEL, SECTION, 1.0, 0, "CF")
-        with pytest.raises(ValueError):
-            BeamModel(STEEL, SECTION, 1.0, 10, "XX")
+        for bad in ({"elastic_modulus": -1.0}, {"density": 0.0}, {"width": 0.0},
+                    {"height": -0.01}, {"span": 0.0}, {"n_elements": 0},
+                    {"support": "XX"}, {"damping_ratio": 1.0}, {"damping_ratio": -0.01}):
+            with pytest.raises(ValueError):
+                replace(standard_beam("CF"), **bad)
 
 
 class TestElementMatrices:

@@ -69,10 +69,18 @@ class TestExitCodes:
         assert run_cli(["--help"]) == 0
         assert "simulate" in capsys.readouterr().out
 
-    def test_numerical_failures_exit_two(self, tmp_path, capsys):
+    def test_numerical_failures_exit_two(self, cf_record_npz, tmp_path, capsys):
         missing = str(tmp_path / "missing.csv")
         assert run_cli(["identify", "--in", missing, "--method", "pp",
                         "--beam", "CF", "--out", str(tmp_path / "o.csv")]) == 2
+        for modes in ("-3", "0"):
+            assert run_cli(["identify", "--in", str(cf_record_npz), "--method", "pp",
+                            "--beam", "CF", "--out", str(tmp_path / "o.csv"),
+                            "--modes", modes]) == 2, modes
+        flat_time = tmp_path / "flat_time.csv"
+        flat_time.write_text("time,a\n0.0,1.0\n0.0,2.0\n")
+        assert run_cli(["corrupt", "--in", str(flat_time), "--nl", "0.5",
+                        "--out", str(tmp_path / "x.csv")]) == 2
         bad_cfg = tmp_path / "bad.json"
         for doc in ({"schema_version": "none"}, {"runz": 3},
                     {"estimator": {"segmentz": 9}},
@@ -80,7 +88,8 @@ class TestExitCodes:
                     {"runs": "3"}, {"beams": 5}, {"pairing": {"f_window": 1.5}},
                     {"ssi": {"mac_min": 1.5}}, {"ssi": {"freq_rel": -0.01}},
                     {"ssi": {"orders": [20, 20]}}, {"noise_levels": [0.5, 0.5]},
-                    {"methods": ["pp", "PP"]}):
+                    {"methods": ["pp", "PP"]},
+                    {"beams": [{"beam_id": "A", "support": "CF", "n_elements": 0}]}):
             bad_cfg.write_text(json.dumps(doc))
             assert run_cli(["bench", "--config", str(bad_cfg)]) == 2, doc
         err = capsys.readouterr().err
@@ -94,6 +103,9 @@ class TestExitCodes:
         assert "orders must be distinct" in err
         assert "noise levels must be distinct" in err
         assert "methods must be distinct" in err
+        assert "n_elements must be >= 1" in err
+        assert "n_modes must be >= 1" in err
+        assert "record CSV time column must increase" in err
 
     def test_module_entry_point(self):
         """``python -m omabench.cli`` runs the command line."""

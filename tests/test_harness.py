@@ -80,6 +80,9 @@ class TestConfig:
         assert config.methods == ("PP", "FDD")
 
     def test_validation(self):
+        def _beam(values):
+            return {"beams": [{"beam_id": "A", "support": "CF", **values}]}
+
         with pytest.raises(ValueError):
             small_config(runs=0)
         with pytest.raises(ValueError):
@@ -115,7 +118,10 @@ class TestConfig:
                         ({"ssi": {"mac_min": 1.5}}, "mac_min must lie in (0, 1]"),
                         ({"ssi": {"freq_rel": -0.01}}, "freq_rel and damping_abs must be positive"),
                         ({"ssi": {"damping_abs": 0}}, "freq_rel and damping_abs must be positive"),
-                        ({"ssi": {"min_cluster_size": 0}}, "min_cluster_size must be >= 1")]
+                        ({"ssi": {"min_cluster_size": 0}}, "min_cluster_size must be >= 1"),
+                        (_beam({"n_elements": 0}), "n_elements must be >= 1"),
+                        (_beam({"width": 0.0}), "section dimensions must be positive"),
+                        (_beam({"damping_ratio": 1.0}), "damping_ratio must lie in [0, 1)")]
         for doc, message in out_of_range:
             with pytest.raises(ValueError, match=re.escape(message)):
                 CampaignConfig.from_dict(doc)

@@ -314,6 +314,21 @@ class TestStabilization:
         with pytest.raises(ValueError, match="distinct"):
             stabilization(build_hankel(cf.clean_record), [20] * 4)
 
+    def test_orders_above_rank_swept_once(self):
+        """Orders past the projection rank realize one model, swept once, so
+        its poles are not flagged stable against copies of themselves."""
+        fact = build_hankel(two_dof_free_decay(1000), FREE_DECAY)
+        assert fact.rank == 4
+
+        def selected(orders):
+            return [(m.frequency, m.damping, m.shape.tolist())
+                    for m in stabilization(fact, orders, FREE_DECAY).selected]
+
+        assert selected(range(2, 13, 2)) == selected(range(2, 5, 2))
+        notes = stabilization(fact, [4, 6, 8], FREE_DECAY).notes
+        assert any("single model order" in n for n in notes)
+        assert any("truncated" in n for n in notes)
+
     def test_monotone_information(self, cf):
         """Extending the order sweep never drops a stable physical cluster."""
         fact = build_hankel(cf.clean_record)
