@@ -20,9 +20,8 @@ from .harness import (BeamConfig, BenchmarkReport, CampaignConfig, DEFAULT_SEED,
                       ModeOutcome, MethodResult, RunResult, default_beams,
                       identify_record, run_campaign, run_single, simulate_beam,
                       summarize_and_tables)
-from .metrics import (ModePairing, PairingOptions, mac, pair_to_reference,
-                      relative_error)
-from .noise import NoiseSpec, SnrReport, corrupt, make_noise, noise_level_to_snr_db
+from .metrics import PairingOptions, mac, pair_to_reference, relative_error
+from .noise import NoiseSpec, corrupt, make_noise, noise_level_to_snr_db
 from .ssi import (SsiOptions, StabilizationDiagram, build_hankel, realize_modes,
                   ssi_identify, stabilization)
 

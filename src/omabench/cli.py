@@ -20,7 +20,7 @@ from .dsp import MultiChannelRecord
 from .harness import (BeamConfig, BenchmarkReport, CampaignConfig, DEFAULT_SEED,
                       _fmt, _write_csv, fe_reference, identify_record, run_campaign,
                       simulate_beam, simulate_beams, summarize_and_tables)
-from .noise import NoiseSpec, corrupt
+from .noise import NoiseSpec, corrupt, noise_level_to_snr_db
 
 __all__ = ["main", "run_cli", "resolve_jobs", "DEFAULT_SEED"]
 
@@ -35,15 +35,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def resolve_jobs(requested: int | None) -> int:
-    """--jobs value, then OMA_BENCH_JOBS, then the available core count."""
+    """--jobs value (at least 1), else the available core count."""
     if requested is not None:
         return max(1, requested)
-    env = os.environ.get("OMA_BENCH_JOBS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(f"OMA_BENCH_JOBS must be an integer, got {env!r}") from exc
     return os.cpu_count() or 1
 
 
@@ -96,7 +90,7 @@ def _build_parser() -> _Parser:
     ben.add_argument("--config", required=True, help="campaign config (JSON)")
     ben.add_argument("--out", default=None, help="output directory (overrides config)")
     ben.add_argument("--jobs", type=int, default=None,
-                     help="parallel runs; default: OMA_BENCH_JOBS or all cores")
+                     help="parallel runs; default: all cores")
     ben.add_argument("--runs", type=int, default=None,
                      help="runs per noise level (e.g. 100 for the full campaign)")
 
@@ -119,15 +113,17 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_corrupt(args) -> int:
     record = _load_record(args.infile)
-    noisy, report = corrupt(record, NoiseSpec(args.nl, args.seed))
+    noisy, snr_db = corrupt(record, NoiseSpec(args.nl, args.seed))
     _save_record(noisy, args.out)
-    if report.nominal_snr_db is None:
+    if args.nl == 0:
         print(f"wrote {args.out}: noise level 0, record unchanged")
-    else:
-        mean_db = float(np.mean(report.snr_db))
-        print(f"wrote {args.out}: noise level {args.nl:g} "
-              f"(nominal {report.nominal_snr_db:.2f} dB, "
-              f"realized mean {mean_db:.2f} dB)")
+        return 0
+    # Channels with zero signal receive no noise and have no SNR.
+    realized = [db for db in snr_db if db is not None]
+    mean = f"realized mean {float(np.mean(realized)):.2f} dB" if realized \
+        else "no channel has signal power"
+    print(f"wrote {args.out}: noise level {args.nl:g} "
+          f"(nominal {noise_level_to_snr_db(args.nl):.2f} dB, {mean})")
     return 0
 
 

@@ -142,7 +142,11 @@ class MultiChannelRecord:
 
     @classmethod
     def from_csv(cls, path) -> "MultiChannelRecord":
-        """Read a record written by :meth:`to_csv` (lossless for the data)."""
+        """Read a record written by :meth:`to_csv` (lossless for the data).
+
+        The time column must increase on a uniform grid: a step that departs
+        from the mean step by more than 1% of it raises ``ValueError``.
+        """
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
             cells = header.split(",")
@@ -157,6 +161,10 @@ class MultiChannelRecord:
             raise ValueError("record CSV must hold at least 2 samples")
         if t[-1] <= t[0]:
             raise ValueError("record CSV time column must increase")
+        step = (t[-1] - t[0]) / (t.size - 1)
+        if np.any(np.abs(np.diff(t) - step) > 0.01 * step):
+            raise ValueError("record CSV time steps must be uniform "
+                             "(within 1% of the mean step)")
         rate = (t.size - 1) / (t[-1] - t[0])
         # Integral sampling rates are recovered exactly.
         if abs(rate - round(rate)) < 1e-6 * rate:

@@ -4,7 +4,9 @@ Peak picking (PP) works on the averaged normalized power spectral density
 (ANPSD) and extracts shapes from cross-spectra against a reference channel.
 Frequency-domain decomposition (FDD) tracks the first singular value of the
 cross-spectral density matrix and takes the corresponding singular vector at
-each peak.  Both report an :class:`IdentifiedModeSet`.
+each peak.  Both take the record's CSD matrix, so one estimate serves both,
+and report an :class:`IdentifiedModeSet` whose modes ascend in frequency and
+lie more than one grid line apart, as :func:`pick_peaks` leaves them.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import (MultiChannelRecord, SpectralEstimatorOptions, SpectralMatrix,
-                  csd_matrix, psd)
+from .dsp import MultiChannelRecord, SpectralEstimatorOptions, SpectralMatrix, psd
 
 __all__ = [
     "PeakOptions",
@@ -67,11 +68,10 @@ class PeakOptions:
 
 @dataclass(frozen=True)
 class Peak:
-    """One selected spectral peak: refined frequency, grid bin, bin height."""
+    """One selected spectral peak: refined frequency and grid bin."""
 
     frequency: float
     bin_index: int
-    height: float
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,6 @@ class IdentifiedMode:
     frequency: float
     shape: np.ndarray
     damping: float | None = None
-    quality: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,6 @@ class IdentifiedModeSet:
     a frequency from the same pass, or ``None``.
     """
 
-    method: str
     modes: tuple[IdentifiedMode, ...]
     notes: tuple[str, ...] = ()
     shape_at: Callable[[float, float], np.ndarray | None] | None = field(
@@ -115,21 +113,6 @@ class IdentifiedModeSet:
     @property
     def shapes(self) -> list[np.ndarray]:
         return [m.shape for m in self.modes]
-
-
-def _build_mode_set(method: str, modes: list[IdentifiedMode], grid_df: float,
-                    notes: list[str], shape_at) -> IdentifiedModeSet:
-    """Sort ascending and drop duplicates closer than the grid spacing."""
-    modes = sorted(modes, key=lambda m: m.frequency)
-    kept: list[IdentifiedMode] = []
-    for m in modes:
-        if kept and m.frequency - kept[-1].frequency < grid_df:
-            strength = m.quality.get("height", 0.0)
-            if strength > kept[-1].quality.get("height", 0.0):
-                kept[-1] = m
-            continue
-        kept.append(m)
-    return IdentifiedModeSet(method, tuple(kept), tuple(notes), shape_at)
 
 
 def unit_normalize(shape: np.ndarray) -> np.ndarray:
@@ -190,7 +173,9 @@ def pick_peaks(frequencies, values, options: PeakOptions = PeakOptions()) -> lis
     Local maxima must exceed the band median by ``prominence_db`` (power dB);
     when several fall within ``min_separation_hz`` only the highest is kept.
     Each surviving peak is refined by 3-point parabolic interpolation, which
-    moves it at most half a bin.  Returns peaks sorted by frequency.
+    moves it at most half a bin up and less than half a bin down.  Local
+    maxima are never adjacent bins, so the returned peaks ascend in
+    frequency more than one bin apart.
     """
     f = np.asarray(frequencies, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -218,7 +203,7 @@ def pick_peaks(frequencies, values, options: PeakOptions = PeakOptions()) -> lis
         den = y0 - 2.0 * y1 + y2
         delta = 0.5 * (y0 - y2) / den if den != 0 else 0.0
         delta = float(np.clip(delta, -0.5, 0.5))
-        peaks.append(Peak(float(f[idx] + delta * df), idx, float(y1)))
+        peaks.append(Peak(float(f[idx] + delta * df), idx))
     return peaks
 
 
@@ -254,26 +239,20 @@ def pp_shape_at(spectral: SpectralMatrix, reference_channel: int,
     return unit_normalize(mag * sign)
 
 
-def pp_identify(record: MultiChannelRecord,
-                estimator: SpectralEstimatorOptions = SpectralEstimatorOptions(),
-                peaks: PeakOptions = PeakOptions(),
-                reference_channel: int | None = None,
-                spectral: SpectralMatrix | None = None) -> IdentifiedModeSet:
-    """Peak-picking identification on the ANPSD of a record.
+def pp_identify(g: SpectralMatrix, peaks: PeakOptions = PeakOptions(),
+                reference_channel: int | None = None) -> IdentifiedModeSet:
+    """Peak-picking identification on the ANPSD of a CSD matrix.
 
     Parameters
     ----------
-    record : MultiChannelRecord
-    estimator, peaks
-        Spectral estimation and peak selection settings.
+    g : SpectralMatrix
+        CSD matrix of the record (:func:`omabench.dsp.csd_matrix`).
+    peaks
+        Peak selection settings.
     reference_channel : int, optional
         Channel index for shape extraction; defaults to the channel with the
         largest total power inside the search band.
-    spectral : SpectralMatrix, optional
-        Precomputed CSD matrix of ``record`` under ``estimator`` (reused when
-        several identifiers run on the same record).
     """
-    g = spectral if spectral is not None else csd_matrix(record, estimator)
     curve = anpsd_from_densities(g.frequencies, g.diagonal())
     found = pick_peaks(curve.frequencies, curve.values, peaks)
     ref = reference_channel if reference_channel is not None \
@@ -289,10 +268,9 @@ def pp_identify(record: MultiChannelRecord,
         if shape is None:
             notes.append(f"dropped_peak_at={pk.frequency:.3f}Hz (zero reference auto-spectrum)")
             continue
-        modes.append(IdentifiedMode(pk.frequency, shape, None,
-                                    {"height": pk.height}))
-    return _build_mode_set("PP", modes, curve.df, notes,
-                           lambda f, _window: pp_shape_at(g, ref, f))
+        modes.append(IdentifiedMode(pk.frequency, shape))
+    return IdentifiedModeSet(tuple(modes), tuple(notes),
+                             lambda f, _window: pp_shape_at(g, ref, f))
 
 
 def _first_singular_values(values: np.ndarray) -> np.ndarray:
@@ -308,24 +286,18 @@ def singular_value_curve(spectral: SpectralMatrix) -> tuple[np.ndarray, np.ndarr
 def fdd_shape_at(spectral: SpectralMatrix, frequency: float) -> np.ndarray:
     """First singular vector at the bin nearest ``frequency``, made real."""
     b = _nearest_bin(spectral.frequencies, frequency)
-    vals, vecs = np.linalg.eigh(spectral.values[b])
-    u1 = vecs[:, -1]
-    return unit_normalize(align_to_real(u1))
+    _, vecs = np.linalg.eigh(spectral.values[b])
+    return unit_normalize(align_to_real(vecs[:, -1]))
 
 
-def fdd_identify(record: MultiChannelRecord,
-                 estimator: SpectralEstimatorOptions = SpectralEstimatorOptions(),
-                 peaks: PeakOptions = PeakOptions(),
-                 spectral: SpectralMatrix | None = None) -> IdentifiedModeSet:
-    """Frequency-domain decomposition of a record.
+def fdd_identify(g: SpectralMatrix, peaks: PeakOptions = PeakOptions()) -> IdentifiedModeSet:
+    """Frequency-domain decomposition of a CSD matrix.
 
     The CSD matrix is decomposed line by line over the search band; peaks
     of the first singular value are the candidate modes and the
     corresponding singular vectors, rotated to their dominant-real
-    alignment, are the shapes.  The ratio of the second to the first
-    singular value at each peak is kept as a rank-one quality indicator.
+    alignment, are the shapes.
     """
-    g = spectral if spectral is not None else csd_matrix(record, estimator)
     # pick_peaks reads the search band and one line on each side of it only.
     freqs = g.frequencies
     sel = np.nonzero((freqs >= peaks.band[0]) & (freqs <= peaks.band[1]))[0]
@@ -333,19 +305,9 @@ def fdd_identify(record: MultiChannelRecord,
     if sel.size:
         lo, hi = max(sel[0] - 1, 0), sel[-1] + 2
         s1[lo:hi] = _first_singular_values(g.values[lo:hi])
-    found = pick_peaks(freqs, s1, peaks)
-    modes = []
-    for pk in found:
-        vals, vecs = np.linalg.eigh(g.values[pk.bin_index])
-        u1 = vecs[:, -1]
-        lead = max(float(vals[-1]), 0.0)
-        second = max(float(vals[-2]), 0.0) if vals.size > 1 else 0.0
-        ratio = second / lead if lead > 0 else 1.0
-        shape = unit_normalize(align_to_real(u1))
-        modes.append(IdentifiedMode(pk.frequency, shape, None,
-                                    {"height": pk.height, "sv_ratio": ratio}))
-    return _build_mode_set("FDD", modes, float(g.df), [],
-                           lambda f, _window: fdd_shape_at(g, f))
+    modes = tuple(IdentifiedMode(pk.frequency, fdd_shape_at(g, freqs[pk.bin_index]))
+                  for pk in pick_peaks(freqs, s1, peaks))
+    return IdentifiedModeSet(modes, shape_at=lambda f, _window: fdd_shape_at(g, f))
 
 
 def write_curve_csv(path, frequencies, values) -> None:

@@ -329,8 +329,8 @@ class RunResult:
 
 # Identifiers by method name; PP and FDD share the run's CSD matrix ``g``.
 _IDENTIFIERS = {
-    "PP": lambda rec, cfg, g: pp_identify(rec, cfg.estimator, cfg.peaks, spectral=g),
-    "FDD": lambda rec, cfg, g: fdd_identify(rec, cfg.estimator, cfg.peaks, spectral=g),
+    "PP": lambda rec, cfg, g: pp_identify(g, cfg.peaks),
+    "FDD": lambda rec, cfg, g: fdd_identify(g, cfg.peaks),
     "SSI": lambda rec, cfg, g: ssi_identify(rec, cfg.ssi),
 }
 
@@ -338,10 +338,10 @@ _IDENTIFIERS = {
 def _score_method(mode_set: IdentifiedModeSet, ref_freqs, ref_shapes,
                   config: CampaignConfig) -> MethodResult:
     """Pair to the reference; score unpaired modes by the set's own shape extractor."""
-    pairing = pair_to_reference(mode_set.frequencies, mode_set.shapes, ref_freqs, ref_shapes,
+    matches = pair_to_reference(mode_set.frequencies, mode_set.shapes, ref_freqs, ref_shapes,
                                 config.pairing)
     outcomes = []
-    for k, match in enumerate(pairing.matches):
+    for k, match in enumerate(matches):
         if match is not None:
             idx, freq, m = match
             shape = mode_set.modes[idx].shape
@@ -362,10 +362,9 @@ def _noisy_record(artifacts: BeamArtifacts, config: CampaignConfig,
     level = config.noise_levels[nl_index]
     if level == 0:
         return artifacts.clean_record, None
-    spec = NoiseSpec(level, derive_seed(config.master_seed, "noise",
-                                        artifacts.config.beam_id, nl_index, run_index))
-    noisy, rep = corrupt(artifacts.clean_record, spec)
-    return noisy, rep.snr_db
+    return corrupt(artifacts.clean_record,
+                   NoiseSpec(level, derive_seed(config.master_seed, "noise",
+                                                artifacts.config.beam_id, nl_index, run_index)))
 
 
 def identify_record(record: MultiChannelRecord, artifacts: BeamArtifacts,

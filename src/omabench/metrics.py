@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ModePairing", "PairingOptions", "mac", "pair_to_reference", "relative_error"]
+__all__ = ["PairingOptions", "mac", "pair_to_reference", "relative_error"]
 
 
 def mac(phi, psi) -> float:
@@ -40,25 +40,9 @@ class PairingOptions:
             raise ValueError("mac_threshold must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
-class ModePairing:
-    """Pairing of identified modes against a reference set.
-
-    ``matches[k]`` is ``(identified_index, frequency, mac)`` for reference
-    mode ``k``, or ``None`` when nothing in the frequency window reached the
-    MAC threshold (a dash in the report tables).
-    """
-
-    matches: tuple
-
-    @property
-    def n_paired(self) -> int:
-        return sum(m is not None for m in self.matches)
-
-
 def pair_to_reference(identified_freqs, identified_shapes, reference_freqs,
                       reference_shapes,
-                      options: PairingOptions = PairingOptions()) -> ModePairing:
+                      options: PairingOptions = PairingOptions()) -> tuple:
     """Pair identified modes to reference modes by frequency window and MAC.
 
     For each reference mode the candidates within ``+-options.f_window``
@@ -66,6 +50,10 @@ def pair_to_reference(identified_freqs, identified_shapes, reference_freqs,
     smaller frequency error); the best candidate is accepted only if its MAC
     reaches ``options.mac_threshold``.  Each identified mode is used at most
     once, so the pairing is injective and deterministic.
+
+    Returns one entry per reference mode: ``(identified_index, frequency,
+    mac)``, or ``None`` when nothing in the window reached the threshold (a
+    dash in the report tables).
 
     Parameters
     ----------
@@ -97,7 +85,7 @@ def pair_to_reference(identified_freqs, identified_shapes, reference_freqs,
             matches.append((i, float(idf[i]), m))
         else:
             matches.append(None)
-    return ModePairing(tuple(matches))
+    return tuple(matches)
 
 
 def relative_error(identified: float, reference: float) -> float:

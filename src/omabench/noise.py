@@ -17,7 +17,7 @@ import numpy as np
 
 from .dsp import MultiChannelRecord, derive_seed, gaussian_white
 
-__all__ = ["NoiseSpec", "SnrReport", "noise_level_to_snr_db", "make_noise", "corrupt"]
+__all__ = ["NoiseSpec", "noise_level_to_snr_db", "make_noise", "corrupt"]
 
 
 @dataclass(frozen=True)
@@ -30,22 +30,6 @@ class NoiseSpec:
     def __post_init__(self):
         if self.level < 0:
             raise ValueError("noise level must be >= 0")
-
-
-@dataclass(frozen=True)
-class SnrReport:
-    """Realized per-channel noise accounting for one corruption.
-
-    ``snr_db`` entries are ``None`` for channels with zero noise power
-    (noise level 0).  ``nominal_snr_db`` is ``-20 log10(level)``.
-    """
-
-    level: float
-    nominal_snr_db: float | None
-    signal_power: tuple[float, ...]
-    noise_power: tuple[float, ...]
-    snr: tuple[float | None, ...]
-    snr_db: tuple[float | None, ...]
 
 
 def noise_level_to_snr_db(level: float) -> float:
@@ -70,22 +54,18 @@ def make_noise(record: MultiChannelRecord, spec: NoiseSpec) -> MultiChannelRecor
     return record.with_data(out)
 
 
-def corrupt(record: MultiChannelRecord, spec: NoiseSpec) -> tuple[MultiChannelRecord, SnrReport]:
-    """Return the noisy record and the realized per-channel SNR report."""
+def corrupt(record: MultiChannelRecord,
+            spec: NoiseSpec) -> tuple[MultiChannelRecord, tuple[float | None, ...]]:
+    """Return the noisy record and its realized per-channel SNR [dB].
+
+    The SNR of a channel is ``10 log10(P_signal / P_noise)`` with mean-square
+    powers; it is ``None`` for a channel that received no noise (noise level
+    0, or a channel with zero signal RMS).
+    """
     noise = make_noise(record, spec)
     noisy = record.with_data(record.data + noise.data)
     p_s = np.mean(record.data ** 2, axis=1)
     p_n = np.mean(noise.data ** 2, axis=1)
-    snr, snr_db = [], []
-    for ps, pn in zip(p_s, p_n):
-        if pn == 0.0:
-            snr.append(None)
-            snr_db.append(None)
-        else:
-            r = float(ps / pn)
-            snr.append(r)
-            snr_db.append(10.0 * math.log10(r))
-    nominal = noise_level_to_snr_db(spec.level) if spec.level > 0 else None
-    report = SnrReport(spec.level, nominal, tuple(float(x) for x in p_s),
-                       tuple(float(x) for x in p_n), tuple(snr), tuple(snr_db))
-    return noisy, report
+    snr_db = tuple(None if pn == 0.0 else 10.0 * math.log10(float(ps / pn))
+                   for ps, pn in zip(p_s, p_n))
+    return noisy, snr_db

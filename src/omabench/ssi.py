@@ -165,16 +165,13 @@ class StabilizationDiagram:
     selected: tuple[IdentifiedMode, ...]
     notes: tuple[str, ...] = ()
 
-    def stable_poles(self) -> list[PoleRecord]:
-        return [p for p in self.poles if p.stable]
-
     def nearest_pole(self, frequency: float,
                      rel_window: float = PairingOptions.f_window) -> PoleRecord | None:
         """Closest swept pole within a relative frequency window, stable first."""
         def best_of(pool):
             cand = [p for p in pool if abs(p.frequency - frequency) <= rel_window * frequency]
             return min(cand, key=lambda p: abs(p.frequency - frequency)) if cand else None
-        return best_of(self.stable_poles()) or best_of(self.poles)
+        return best_of([p for p in self.poles if p.stable]) or best_of(self.poles)
 
 
 def _block_hankel(data: np.ndarray, n_block_rows: int) -> np.ndarray:
@@ -299,26 +296,26 @@ def _cluster_stable(stable: list[PoleRecord], tol: SsiOptions):
     stable = sorted(stable, key=lambda p: p.frequency)
     f = np.array([p.frequency for p in stable])
     cuts = list(np.flatnonzero(np.diff(f) > tol.freq_rel * f[:-1]) + 1)
-    selected = []
+    selected, sizes = [], []
     for lo, hi in zip([0] + cuts, cuts + [len(stable)]):
         cluster = stable[lo:hi]
         if len(cluster) >= tol.min_cluster_size:
             best = max(cluster, key=lambda p: p.mac_prev)
             selected.append(IdentifiedMode(float(np.median(f[lo:hi])), best.shape,
-                                           float(np.median([p.damping for p in cluster])),
-                                           {"cluster_size": float(len(cluster))}))
-    return tuple(_merge_duplicate_shapes(selected, tol))
+                                           float(np.median([p.damping for p in cluster]))))
+            sizes.append(len(cluster))
+    return tuple(_merge_duplicate_shapes(selected, sizes, tol))
 
 
-def _merge_duplicate_shapes(selected: list[IdentifiedMode],
+def _merge_duplicate_shapes(selected: list[IdentifiedMode], sizes: list[int],
                             tol: SsiOptions) -> list[IdentifiedMode]:
     """Drop over-modeling side clusters that repeat a neighbour's shape.
 
     Model orders above twice the physical mode count produce companion
     poles of an existing mode (same shape, slightly shifted frequency and
     inflated damping).  When two clusters within 5% in frequency share a
-    shape (MAC >= ``mac_min``), only the one with more stable poles speaks
-    for the mode.
+    shape (MAC >= ``mac_min``), only the one with more stable poles
+    (``sizes``) speaks for the mode.
     """
     keep = [True] * len(selected)
     for a in range(len(selected)):
@@ -330,9 +327,7 @@ def _merge_duplicate_shapes(selected: list[IdentifiedMode],
                 continue
             if mac(selected[a].shape, selected[b].shape) < tol.mac_min:
                 continue
-            size_a = selected[a].quality.get("cluster_size", 0.0)
-            size_b = selected[b].quality.get("cluster_size", 0.0)
-            victim = a if (size_a, fb) < (size_b, fa) else b
+            victim = a if (sizes[a], fb) < (sizes[b], fa) else b
             keep[victim] = False
     return [m for k, m in zip(keep, selected) if k]
 
@@ -402,5 +397,5 @@ def ssi_identify(record: MultiChannelRecord,
     diagram = stabilization(fact, options.resolve_orders(record.n_channels), options)
     selected, notes = clip_to_passband(diagram.selected, diagram.notes,
                                        record.sample_rate, options)
-    return IdentifiedModeSet("SSI", selected, notes, lambda f, window: (
+    return IdentifiedModeSet(selected, notes, lambda f, window: (
         p.shape if (p := diagram.nearest_pole(f, window)) is not None else None))

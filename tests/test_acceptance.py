@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import filecmp
 import time
-from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from scipy.linalg import expm
 
 from omabench.beam import analytical_frequencies, assemble_model, modal_analysis
 from omabench.dsp import (MultiChannelRecord, SpectralEstimatorOptions,
-                          gaussian_white, psd)
+                          csd_matrix, gaussian_white, psd)
 from omabench.freqdom import PeakOptions, anpsd, fdd_identify, pp_identify
 from omabench.harness import (BeamConfig, CampaignConfig, run_campaign,
                               summarize_and_tables)
@@ -44,8 +43,8 @@ ZETA = 0.025
 # criteria were written for.
 SINGLE = SpectralEstimatorOptions("rectangular", 1, 0.0)
 PEAKS_6DB = PeakOptions(prominence_db=6.0)
-PEAK_METHODS = (partial(pp_identify, estimator=SINGLE, peaks=PEAKS_6DB),
-                partial(fdd_identify, estimator=SINGLE, peaks=PEAKS_6DB))
+PEAK_METHODS = (lambda rec: pp_identify(csd_matrix(rec, SINGLE), PEAKS_6DB),
+                lambda rec: fdd_identify(csd_matrix(rec, SINGLE), PEAKS_6DB))
 
 
 def test_criterion_1_analytical_oracle(acceptance):
@@ -130,8 +129,8 @@ def test_criterion_3_noise_calibration(acceptance, cf):
     for level in (0.05, 1.00):
         nominal = noise_level_to_snr_db(level)
         for seed in range(100):
-            _, report = corrupt(rec, NoiseSpec(level, seed))
-            worst = max(worst, max(abs(db - nominal) for db in report.snr_db))
+            _, snr_db = corrupt(rec, NoiseSpec(level, seed))
+            worst = max(worst, max(abs(db - nominal) for db in snr_db))
     elapsed = time.perf_counter() - t0
 
     ok = mapping_ok and worst <= 0.3 and elapsed < 10.0
@@ -161,8 +160,7 @@ def test_criterion_4_peak_methods_clean(acceptance, beam_artifacts):
     unpaired, min_mac, worst_rel = 0, 1.0, 0.0
     for art in beam_artifacts.values():
         for fn in PEAK_METHODS:
-            pairing = _pair_clean(fn, art)
-            for k, m in enumerate(pairing.matches):
+            for k, m in enumerate(_pair_clean(fn, art)):
                 fr = art.reference_frequencies[k]
                 if m is None:
                     unpaired += 1
@@ -193,8 +191,7 @@ def test_criterion_4_two_bin_window(acceptance, beam_artifacts):
     worst = 0.0
     for art in beam_artifacts.values():
         for fn in PEAK_METHODS:
-            pairing = _pair_clean(fn, art)
-            for k, m in enumerate(pairing.matches):
+            for k, m in enumerate(_pair_clean(fn, art)):
                 fr = art.reference_frequencies[k]
                 worst = max(worst, np.inf if m is None else abs(m[1] - fr))
     acceptance("4 (two-bin window)", worst <= 0.4,
@@ -207,8 +204,7 @@ def test_criterion_4_subspace_clean(acceptance, beam_artifacts):
     t0 = time.perf_counter()
     unpaired, min_mac, worst_rel = 0, 1.0, 0.0
     for art in beam_artifacts.values():
-        pairing = _pair_clean(ssi_identify, art)
-        for k, m in enumerate(pairing.matches):
+        for k, m in enumerate(_pair_clean(ssi_identify, art)):
             fr = art.reference_frequencies[k]
             if m is None:
                 unpaired += 1

@@ -77,10 +77,13 @@ class TestExitCodes:
             assert run_cli(["identify", "--in", str(cf_record_npz), "--method", "pp",
                             "--beam", "CF", "--out", str(tmp_path / "o.csv"),
                             "--modes", modes]) == 2, modes
-        flat_time = tmp_path / "flat_time.csv"
-        flat_time.write_text("time,a\n0.0,1.0\n0.0,2.0\n")
-        assert run_cli(["corrupt", "--in", str(flat_time), "--nl", "0.5",
-                        "--out", str(tmp_path / "x.csv")]) == 2
+        bad_time = tmp_path / "bad_time.csv"
+        for text in ("time,a\n0.0,1.0\n0.0,2.0\n",
+                     "time,a\n0.0,1.0\n0.1,2.0\n0.5,3.0\n0.6,1.0\n"):
+            bad_time.write_text(text)
+            assert run_cli(["corrupt", "--in", str(bad_time), "--nl", "0.5",
+                            "--out", str(tmp_path / "x.csv")]) == 2, text
+        assert not (tmp_path / "x.csv").exists()
         bad_cfg = tmp_path / "bad.json"
         for doc in ({"schema_version": "none"}, {"runz": 3},
                     {"estimator": {"segmentz": 9}},
@@ -106,6 +109,7 @@ class TestExitCodes:
         assert "n_elements must be >= 1" in err
         assert "n_modes must be >= 1" in err
         assert "record CSV time column must increase" in err
+        assert "record CSV time steps must be uniform" in err
 
     def test_module_entry_point(self):
         """``python -m omabench.cli`` runs the command line."""
@@ -173,6 +177,16 @@ class TestCorrupt:
                         "--out", str(b)]) == 0
         assert filecmp.cmp(a, b, shallow=False)
         capsys.readouterr()
+
+    def test_zero_channel_exits_zero(self, tmp_path, capsys):
+        """A channel with no signal gets no noise and no SNR; the printed mean
+        is over the channels that received noise."""
+        rec_path, out_path = tmp_path / "zero.csv", tmp_path / "noisy.csv"
+        rec_path.write_text("time,a,b\n0.0,1.0,0.0\n0.1,2.0,0.0\n0.2,3.0,0.0\n0.3,1.0,0.0\n")
+        assert run_cli(["corrupt", "--in", str(rec_path), "--nl", "0.5",
+                        "--out", str(out_path)]) == 0
+        assert "(nominal 6.02 dB, realized mean " in capsys.readouterr().out
+        np.testing.assert_array_equal(MultiChannelRecord.from_csv(out_path).data[1], 0.0)
 
     def test_negative_level_exits_two(self, tmp_path, capsys):
         rec_path = tmp_path / "rec.csv"
@@ -368,22 +382,11 @@ class TestPublicNames:
 
 
 class TestJobs:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("OMA_BENCH_JOBS", "7")
+    def test_explicit_wins(self):
         assert resolve_jobs(3) == 3
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("OMA_BENCH_JOBS", "7")
-        assert resolve_jobs(None) == 7
-
-    def test_env_invalid_rejected(self, monkeypatch):
-        monkeypatch.setenv("OMA_BENCH_JOBS", "many")
-        with pytest.raises(ValueError):
-            resolve_jobs(None)
-
-    def test_default_is_core_count(self, monkeypatch):
-        monkeypatch.delenv("OMA_BENCH_JOBS", raising=False)
-        assert resolve_jobs(None) >= 1
+    def test_default_is_core_count(self):
+        assert resolve_jobs(None) == (os.cpu_count() or 1)
 
     def test_floor_of_one(self):
         assert resolve_jobs(0) == 1

@@ -111,6 +111,27 @@ class TestMultiChannelRecord:
         assert back.labels == rec.labels
         np.testing.assert_array_equal(back.data, rec.data)
 
+    def test_csv_default_grid_round_trip(self, tmp_path):
+        """The campaign's 10 kHz, 5 s grid passes the uniform-step check."""
+        rec = MultiChannelRecord(10000.0, gaussian_white(50001, 2))
+        path = tmp_path / "rec.csv"
+        rec.to_csv(path)
+        back = MultiChannelRecord.from_csv(path)
+        assert back.sample_rate == 10000.0
+        np.testing.assert_array_equal(back.data, rec.data)
+
+    def test_csv_irregular_time_rejected(self, tmp_path):
+        """A step more than 1% off the mean step is rejected, not resampled."""
+        path = tmp_path / "gap.csv"
+        path.write_text("time,a\n0.0,1.0\n0.1,2.0\n0.5,3.0\n0.6,1.0\n")
+        with pytest.raises(ValueError, match="uniform"):
+            MultiChannelRecord.from_csv(path)
+        path.write_text("time,a\n0.0,1.0\n0.1,2.0\n0.2015,3.0\n0.3,1.0\n")
+        with pytest.raises(ValueError, match="uniform"):
+            MultiChannelRecord.from_csv(path)
+        path.write_text("time,a\n0.0,1.0\n0.1,2.0\n0.2005,3.0\n0.3,1.0\n")
+        assert MultiChannelRecord.from_csv(path).sample_rate == 10.0
+
     def test_npz_round_trip(self, tmp_path):
         rec = self._rec()
         path = tmp_path / "rec.npz"

@@ -204,15 +204,15 @@ class TestPpIdentify:
     def test_clean_ss_mode_shape(self, beam_artifacts):
         """Mode-1 shape of the clean SS record matches FE with MAC >= 0.999."""
         art = beam_artifacts["SS"]
-        pairing = paired(pp_identify(art.clean_record, SINGLE, PEAKS_6DB), art)
-        assert pairing.matches[0] is not None
-        assert pairing.matches[0][2] >= 0.999
+        matches = paired(pp_identify(csd_matrix(art.clean_record, SINGLE), PEAKS_6DB), art)
+        assert matches[0] is not None
+        assert matches[0][2] >= 0.999
 
     def test_clean_cf_all_modes_pair(self, cf):
         """All five clean CF modes pair with MAC >= 0.999."""
-        pairing = paired(pp_identify(cf.clean_record, SINGLE, PEAKS_6DB), cf)
-        assert pairing.n_paired == 5
-        for m in pairing.matches:
+        matches = paired(pp_identify(csd_matrix(cf.clean_record, SINGLE), PEAKS_6DB), cf)
+        assert None not in matches
+        for m in matches:
             assert m[2] >= 0.999
 
     @pytest.mark.xfail(reason="raw single-segment spectra of one random "
@@ -220,47 +220,48 @@ class TestPpIdentify:
                        "higher modes", strict=True)
     def test_clean_cf_frequencies_within_two_bins(self, cf):
         """Five clean-record frequencies inside +-0.4 Hz of the reference."""
-        pairing = paired(pp_identify(cf.clean_record, SINGLE, PEAKS_6DB), cf)
-        for m, fr in zip(pairing.matches, cf.reference_frequencies):
+        matches = paired(pp_identify(csd_matrix(cf.clean_record, SINGLE), PEAKS_6DB), cf)
+        for m, fr in zip(matches, cf.reference_frequencies):
             assert m is not None and abs(m[1] - fr) <= 0.4
 
     def test_moderate_noise_keeps_mode_one_shape(self, cf, noisy_record):
         """At NL = 0.20 the mode-1 shape stays above MAC 0.95."""
         rec = noisy_record("CF", 0.2)
-        mode_set = pp_identify(rec, CAMPAIGN.estimator, CAMPAIGN.peaks)
-        pairing = paired(mode_set, cf)
-        assert pairing.matches[0] is not None
-        assert pairing.matches[0][2] >= 0.95
+        mode_set = pp_identify(csd_matrix(rec, CAMPAIGN.estimator), CAMPAIGN.peaks)
+        matches = paired(mode_set, cf)
+        assert matches[0] is not None
+        assert matches[0][2] >= 0.95
 
     def test_default_reference_channel_is_strongest(self, cf):
         """The free-end channel (node 11) carries the largest band power."""
-        mode_set = pp_identify(cf.clean_record, SINGLE, PEAKS_6DB)
+        mode_set = pp_identify(csd_matrix(cf.clean_record, SINGLE), PEAKS_6DB)
         assert mode_set.notes[0] == "reference_channel=9"
         assert cf.clean_record.labels[9] == "node11"
 
     def test_reference_channel_override(self, cf):
-        mode_set = pp_identify(cf.clean_record, SINGLE, PEAKS_6DB, reference_channel=0)
+        mode_set = pp_identify(csd_matrix(cf.clean_record, SINGLE), PEAKS_6DB, reference_channel=0)
         assert mode_set.notes[0] == "reference_channel=0"
         with pytest.raises(ValueError):
-            pp_identify(cf.clean_record, SINGLE, PEAKS_6DB, reference_channel=99)
+            pp_identify(csd_matrix(cf.clean_record, SINGLE), PEAKS_6DB, reference_channel=99)
 
     def test_zero_reference_spectrum_drops_peaks(self):
         """Peaks without reference auto-power are dropped with a note."""
         t = np.arange(4096) / 1000.0
         x = np.sin(2.0 * np.pi * 100.0 * t)
         rec = MultiChannelRecord(1000.0, np.vstack([x, np.zeros_like(x)]))
-        mode_set = pp_identify(rec, SINGLE, PEAKS_6DB, reference_channel=1)
+        mode_set = pp_identify(csd_matrix(rec, SINGLE), PEAKS_6DB, reference_channel=1)
         assert mode_set.modes == ()
         assert any("zero reference auto-spectrum" in n for n in mode_set.notes)
 
-    def test_mode_set_invariants(self, cf, noisy_record):
-        """Frequencies ascend, shapes peak at +1, spacing >= one bin."""
-        rec = noisy_record("CF", 0.5)
-        mode_set = pp_identify(rec, CAMPAIGN.estimator, CAMPAIGN.peaks)
-        f = mode_set.frequencies
-        assert np.all(np.diff(f) > 0)
-        grid_df = rec.sample_rate / (rec.n_samples // 5)  # 9 half-overlapped segments
-        assert np.all(np.diff(f) >= grid_df * 0.999)
+    @pytest.mark.parametrize("level", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("beam_id", ["CF", "SS", "CS", "CC"])
+    @pytest.mark.parametrize("method", [pp_identify, fdd_identify], ids=["PP", "FDD"])
+    def test_mode_set_invariants(self, noisy_record, method, beam_id, level):
+        """Frequencies ascend more than one grid line apart; shapes peak at +1."""
+        g = csd_matrix(noisy_record(beam_id, level), CAMPAIGN.estimator)
+        mode_set = method(g, CAMPAIGN.peaks)
+        assert mode_set.modes
+        assert np.all(np.diff(mode_set.frequencies) > g.df)
         for shape in mode_set.shapes:
             assert np.max(shape) == pytest.approx(1.0, abs=1e-12)
             assert np.max(np.abs(shape)) <= 1.0 + 1e-12
@@ -292,18 +293,18 @@ class TestFddIdentify:
 
     def test_clean_cf_all_modes(self, cf):
         """All five clean CF modes pair with MAC >= 0.995."""
-        pairing = paired(fdd_identify(cf.clean_record, SINGLE, PEAKS_6DB), cf)
-        assert pairing.n_paired == 5
-        for m in pairing.matches:
+        matches = paired(fdd_identify(csd_matrix(cf.clean_record, SINGLE), PEAKS_6DB), cf)
+        assert None not in matches
+        for m in matches:
             assert m[2] >= 0.995
 
     def test_harsh_noise_keeps_higher_modes(self, cf, noisy_record):
         """At NL = 2.0 modes 2-5 pair with MAC >= 0.95; mode 1 does not."""
         rec = noisy_record("CF", 2.0)
-        mode_set = fdd_identify(rec, CAMPAIGN.estimator, CAMPAIGN.peaks)
-        pairing = paired(mode_set, cf)
-        assert pairing.matches[0] is None
-        for m in pairing.matches[1:]:
+        mode_set = fdd_identify(csd_matrix(rec, CAMPAIGN.estimator), CAMPAIGN.peaks)
+        matches = paired(mode_set, cf)
+        assert matches[0] is None
+        for m in matches[1:]:
             assert m is not None and m[2] >= 0.95
 
     @pytest.mark.parametrize("band", [CAMPAIGN.peaks.band, (0.0, 300.0)])
@@ -311,28 +312,20 @@ class TestFddIdentify:
         """Decomposing only the search band changes no bit of the result.
 
         The reference picks peaks on the full-grid singular value curve and
-        takes each shape and second-to-first singular value ratio there.
+        takes each shape there.
         """
         peaks = PeakOptions(CAMPAIGN.peaks.prominence_db, CAMPAIGN.peaks.min_separation_hz, band)
         g = csd_matrix(noisy_record("CF", 0.5), CAMPAIGN.estimator)
         freqs, s1 = singular_value_curve(g)
         expected = []
         for pk in pick_peaks(freqs, s1, peaks):
-            vals, vecs = np.linalg.eigh(g.values[pk.bin_index])
-            expected.append((pk.frequency, unit_normalize(align_to_real(vecs[:, -1])),
-                             max(float(vals[-2]), 0.0) / float(vals[-1])))
-        mode_set = fdd_identify(None, peaks=peaks, spectral=g)
+            _, vecs = np.linalg.eigh(g.values[pk.bin_index])
+            expected.append((pk.frequency, unit_normalize(align_to_real(vecs[:, -1]))))
+        mode_set = fdd_identify(g, peaks)
         assert len(mode_set.modes) == len(expected) >= 5
-        for mode, (f, shape, ratio) in zip(mode_set.modes, expected):
+        for mode, (f, shape) in zip(mode_set.modes, expected):
             assert mode.frequency == f
             np.testing.assert_array_equal(mode.shape, shape)
-            assert mode.quality["sv_ratio"] == ratio
-
-    def test_sv_ratio_quality_recorded(self, cf):
-        mode_set = fdd_identify(cf.clean_record, CAMPAIGN.estimator, CAMPAIGN.peaks)
-        assert mode_set.modes
-        for mode in mode_set.modes:
-            assert 0.0 <= mode.quality["sv_ratio"] <= 1.0
 
 
 class TestMethodAgreement:
@@ -341,10 +334,10 @@ class TestMethodAgreement:
                        "split by more than one bin at mode 2", strict=True)
     def test_pp_fdd_agree_within_one_bin(self, cf):
         """Clean-record PP and FDD frequencies agree to one grid bin."""
-        pp = paired(pp_identify(cf.clean_record, SINGLE, PEAKS_6DB), cf)
-        fd = paired(fdd_identify(cf.clean_record, SINGLE, PEAKS_6DB), cf)
+        pp = paired(pp_identify(csd_matrix(cf.clean_record, SINGLE), PEAKS_6DB), cf)
+        fd = paired(fdd_identify(csd_matrix(cf.clean_record, SINGLE), PEAKS_6DB), cf)
         df = 1.0 / cf.clean_record.duration
-        for a, b in zip(pp.matches, fd.matches):
+        for a, b in zip(pp, fd):
             assert a is not None and b is not None
             assert abs(a[1] - b[1]) <= df + 1e-9
 
@@ -353,7 +346,7 @@ class TestMethodAgreement:
         for level in (0.0, 0.5):
             rec = noisy_record("CF", level)
             for method in (pp_identify, fdd_identify):
-                mode_set = method(rec, CAMPAIGN.estimator, CAMPAIGN.peaks)
+                mode_set = method(csd_matrix(rec, CAMPAIGN.estimator), CAMPAIGN.peaks)
                 nseg = rec.n_samples // 5
                 grid = np.fft.rfftfreq(nseg, 1.0 / rec.sample_rate)
                 df = grid[1] - grid[0]

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omabench.metrics import (ModePairing, PairingOptions, mac, pair_to_reference,
-                              relative_error)
+from omabench.metrics import PairingOptions, mac, pair_to_reference, relative_error
 
 
 class TestMac:
@@ -77,9 +76,9 @@ class TestPairing:
 
     def test_self_pairing(self):
         shapes = self._ref_shapes()
-        pairing = pair_to_reference(self.REF_F, list(shapes.T), self.REF_F, shapes)
-        assert pairing.n_paired == 3
-        for k, m in enumerate(pairing.matches):
+        matches = pair_to_reference(self.REF_F, list(shapes.T), self.REF_F, shapes)
+        assert len(matches) == 3
+        for k, m in enumerate(matches):
             idx, f, v = m
             assert idx == k
             assert f == self.REF_F[k]
@@ -87,48 +86,46 @@ class TestPairing:
             assert relative_error(f, self.REF_F[k]) == 0.0
 
     def test_empty_identified_set(self):
-        pairing = pair_to_reference([], [], self.REF_F, self._ref_shapes())
-        assert pairing.matches == (None, None, None)
-        assert pairing.n_paired == 0
+        matches = pair_to_reference([], [], self.REF_F, self._ref_shapes())
+        assert matches == (None, None, None)
 
     def test_frequency_window_excludes(self):
         """A candidate 6% away from the reference is out of the 5% window."""
         shapes = self._ref_shapes()
-        pairing = pair_to_reference([8.0 * 1.06], [shapes[:, 0]], [8.0],
+        matches = pair_to_reference([8.0 * 1.06], [shapes[:, 0]], [8.0],
                                     shapes[:, :1])
-        assert pairing.matches == (None,)
+        assert matches == (None,)
 
     def test_mac_threshold_excludes(self):
         shapes = self._ref_shapes()
         noisy = shapes[:, 0] + 2.0 * shapes[:, 1]
         assert mac(noisy, shapes[:, 0]) < 0.95
-        pairing = pair_to_reference([8.0], [noisy], [8.0], shapes[:, :1])
-        assert pairing.matches == (None,)
+        matches = pair_to_reference([8.0], [noisy], [8.0], shapes[:, :1])
+        assert matches == (None,)
 
     def test_injective(self):
         """One identified mode cannot satisfy two references."""
         shapes = self._ref_shapes()
         phi = shapes[:, 0]
-        pairing = pair_to_reference([8.05], [phi], [8.0, 8.2],
+        matches = pair_to_reference([8.05], [phi], [8.0, 8.2],
                                     np.column_stack([phi, phi]))
-        assert pairing.n_paired == 1
-        assert pairing.matches[0] is not None
-        assert pairing.matches[1] is None
+        assert matches[0] is not None
+        assert matches[1] is None
 
     def test_tie_breaks_toward_smaller_frequency_error(self):
         """Equal-MAC candidates resolve to the nearer frequency."""
         shapes = self._ref_shapes()
         phi = shapes[:, 0]
-        pairing = pair_to_reference([7.9, 8.02], [phi, phi], [8.0],
+        matches = pair_to_reference([7.9, 8.02], [phi, phi], [8.0],
                                     shapes[:, :1])
-        assert pairing.matches[0][0] == 1
+        assert matches[0][0] == 1
 
     def test_prefers_higher_mac_in_window(self):
         shapes = self._ref_shapes()
         good, bad = shapes[:, 0], shapes[:, 0] + 0.5 * shapes[:, 1]
-        pairing = pair_to_reference([8.1, 8.01], [good, bad], [8.0],
+        matches = pair_to_reference([8.1, 8.01], [good, bad], [8.0],
                                     shapes[:, :1])
-        assert pairing.matches[0][0] == 0
+        assert matches[0][0] == 0
 
     def test_parameter_validation(self):
         for bad in ({"f_window": 0.0}, {"f_window": 1.0}, {"mac_threshold": 0.0},
@@ -136,10 +133,6 @@ class TestPairing:
             with pytest.raises(ValueError):
                 PairingOptions(**bad)
         assert PairingOptions(f_window=0.99, mac_threshold=1.0).mac_threshold == 1.0
-
-    def test_n_paired_property(self):
-        pairing = ModePairing((None, (0, 8.0, 1.0)))
-        assert pairing.n_paired == 1
 
 
 class TestRelativeError:
