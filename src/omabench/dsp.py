@@ -10,6 +10,7 @@ frequency-domain identifiers.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "SpectralMatrix",
     "derive_seed",
     "gaussian_white",
+    "force_lines",
     "band_limited_force",
     "psd",
     "csd_matrix",
@@ -182,14 +184,43 @@ class MultiChannelRecord:
                        tuple(str(s) for s in z["labels"]))
 
 
-def band_limited_force(duration: float, sample_rate: float, band: tuple[float, float],
-                       rms_target: float, seed: int) -> np.ndarray:
-    """Synthesize a band-limited random-phase force history.
+def force_lines(duration: float, sample_rate: float, force_band: tuple[float, float],
+                force_rms: float) -> tuple[int, np.ndarray]:
+    """Check excitation settings; return the sample count and in-band lines.
 
-    The signal is built in the frequency domain with unit-magnitude spectral
-    lines inside ``band`` and uniformly random phases, inverted to the time
-    domain and scaled to the exact target RMS.  Out-of-band content is zero by
-    construction.
+    The one check of :func:`band_limited_force`'s settings, also run when a
+    beam config is built.  Returns ``n = round(duration * sample_rate) + 1``
+    and the boolean mask of the ``rfft`` lines of an ``n``-sample record
+    that lie inside ``force_band``; the DC line is never in it.
+    """
+    if duration <= 0 or sample_rate <= 0:
+        raise ValueError("duration and sample_rate must be positive")
+    if len(force_band) != 2:
+        raise ValueError("force_band must be a pair [lo, hi]")
+    lo, hi = force_band
+    if not (0.0 <= lo < hi <= sample_rate / 2):
+        raise ValueError(f"force_band must satisfy 0 <= lo < hi <= Nyquist "
+                         f"({sample_rate / 2:g} Hz)")
+    if force_rms <= 0:
+        raise ValueError("force_rms must be positive")
+    n = int(round(duration * sample_rate)) + 1
+    freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
+    mask = (freqs >= lo) & (freqs <= hi) & (freqs > 0.0)
+    if not np.any(mask):
+        raise ValueError("force_band contains no spectral line for this duration")
+    return n, mask
+
+
+def band_limited_force(duration: float, sample_rate: float, force_band: tuple[float, float],
+                       force_rms: float, seeds: Sequence[int]) -> np.ndarray:
+    """Synthesize band-limited random-phase force histories, one per seed.
+
+    Each row is built in the frequency domain with unit-magnitude spectral
+    lines inside ``force_band`` and uniformly random phases drawn from that
+    row's seed, inverted to the time domain and scaled to the exact target
+    RMS.  Out-of-band content and the DC line are zero by construction, so
+    every row has zero mean.  All rows go through one inverse FFT; each row
+    is bit-identical to a call with its seed alone.
 
     Parameters
     ----------
@@ -198,38 +229,26 @@ def band_limited_force(duration: float, sample_rate: float, band: tuple[float, f
         samples to match the simulator grid.
     sample_rate : float
         Sampling rate in Hz.
-    band : (float, float)
+    force_band : (float, float)
         Inclusive passband edges in Hz; must satisfy
-        ``0 < lo < hi <= sample_rate / 2``.
-    rms_target : float
-        RMS value of the returned signal (must be positive).
-    seed : int
-        Seed for the phase stream.
+        ``0 <= lo < hi <= sample_rate / 2``.
+    force_rms : float
+        RMS value of each returned row (must be positive).
+    seeds : sequence of int
+        One phase-stream seed per row.
 
     Returns
     -------
     ndarray
-        Force samples, shape ``(n_samples,)``.
+        Force samples, shape ``(len(seeds), n_samples)``.
     """
-    if duration <= 0 or sample_rate <= 0:
-        raise ValueError("duration and sample_rate must be positive")
-    lo, hi = band
-    if not (0.0 <= lo < hi <= sample_rate / 2):
-        raise ValueError("band must satisfy 0 <= lo < hi <= Nyquist")
-    if rms_target <= 0:
-        raise ValueError("rms_target must be positive")
-    n = int(round(duration * sample_rate)) + 1
-    freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
-    # The DC line stays zero regardless of the band, so the force has zero mean.
-    mask = (freqs >= lo) & (freqs <= hi) & (freqs > 0.0)
-    if not np.any(mask):
-        raise ValueError("band contains no spectral line for this duration")
-    rng = np.random.default_rng(seed)
-    spectrum = np.zeros(freqs.size, dtype=complex)
-    phases = rng.uniform(0.0, 2.0 * np.pi, int(mask.sum()))
-    spectrum[mask] = np.exp(1j * phases)
-    x = np.fft.irfft(spectrum, n)
-    x *= rms_target / np.sqrt(np.mean(x * x))
+    n, mask = force_lines(duration, sample_rate, force_band, force_rms)
+    spectra = np.zeros((len(seeds), mask.size), dtype=complex)
+    for row, seed in zip(spectra, seeds):
+        phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, int(mask.sum()))
+        row[mask] = np.exp(1j * phases)
+    x = np.fft.irfft(spectra, n, axis=-1)
+    x *= force_rms / np.sqrt(np.mean(x * x, axis=-1, keepdims=True))
     return x
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .beam import (BeamModel, GlobalSystem, ModalSolution, SUPPORTS, assemble_model,
                    modal_analysis, transient_response)
 from .dsp import (MultiChannelRecord, SpectralEstimatorOptions, band_limited_force,
-                  csd_matrix, derive_seed)
+                  csd_matrix, derive_seed, force_lines)
 from .freqdom import (IdentifiedModeSet, PeakOptions, anpsd, fdd_identify, pp_identify,
                       unit_normalize, write_curve_csv)
 from .metrics import PairingOptions, mac, pair_to_reference, relative_error
@@ -63,7 +63,8 @@ class BeamConfig:
 
     Every beam default lives here; :meth:`model` hands the beam fields to
     :class:`BeamModel`, whose range checks therefore run when the config is
-    built.  ``poisson_ratio`` stays in the JSON layout but is unused:
+    built, as does :func:`~omabench.dsp.force_lines`' check of the
+    excitation.  ``poisson_ratio`` stays in the JSON layout but is unused:
     Euler-Bernoulli bending does not depend on it.
     """
 
@@ -87,6 +88,7 @@ class BeamConfig:
             raise ValueError("beam_id must be non-empty")
         if self.dt <= 0 or self.duration <= 0:
             raise ValueError("dt and duration must be positive")
+        force_lines(self.duration, 1.0 / self.dt, self.force_band, self.force_rms)
         self.model()
 
     def model(self) -> BeamModel:
@@ -277,10 +279,11 @@ def simulate_beam(bc: BeamConfig, master_seed: int,
     """
     ref = fe_reference(bc, n_modes)
     rate = 1.0 / bc.dt
-    force_rows = [band_limited_force(bc.duration, rate, bc.force_band, bc.force_rms,
-                                     derive_seed(master_seed, "force", bc.beam_id, label))
-                  for label in ref.system.channel_labels]
-    forces = MultiChannelRecord(rate, np.vstack(force_rows), ref.system.channel_labels)
+    labels = ref.system.channel_labels
+    seeds = [derive_seed(master_seed, "force", bc.beam_id, label) for label in labels]
+    forces = MultiChannelRecord(
+        rate, band_limited_force(bc.duration, rate, bc.force_band, bc.force_rms, seeds),
+        labels)
     record = transient_response(ref.system, ref.modal, forces, bc.dt, bc.duration)
     return replace(ref, clean_record=record)
 

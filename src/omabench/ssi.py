@@ -187,7 +187,8 @@ def _block_hankel(data: np.ndarray, n_block_rows: int) -> np.ndarray:
     h = np.empty((n_block_rows * l, j))
     for k in range(n_block_rows):
         h[k * l:(k + 1) * l] = data[:, k:k + j]
-    return h / np.sqrt(j)
+    h /= np.sqrt(j)
+    return h
 
 
 def _conditioned(record: MultiChannelRecord, options: SsiOptions) -> tuple[np.ndarray, float]:

@@ -92,7 +92,11 @@ class TestExitCodes:
                     {"ssi": {"mac_min": 1.5}}, {"ssi": {"freq_rel": -0.01}},
                     {"ssi": {"orders": [20, 20]}}, {"noise_levels": [0.5, 0.5]},
                     {"methods": ["pp", "PP"]},
-                    {"beams": [{"beam_id": "A", "support": "CF", "n_elements": 0}]}):
+                    {"beams": [{"beam_id": "A", "support": "CF", "n_elements": 0}]},
+                    {"beams": [{"beam_id": "A", "support": "CF", "force_band": [1.0, 6000.0]}]},
+                    {"beams": [{"beam_id": "A", "support": "CF", "force_band": [1500.0, 1.0]}]},
+                    {"beams": [{"beam_id": "A", "support": "CF", "force_band": [1.0]}]},
+                    {"beams": [{"beam_id": "A", "support": "CF", "force_rms": 0.0}]}):
             bad_cfg.write_text(json.dumps(doc))
             assert run_cli(["bench", "--config", str(bad_cfg)]) == 2, doc
         err = capsys.readouterr().err
@@ -107,6 +111,9 @@ class TestExitCodes:
         assert "noise levels must be distinct" in err
         assert "methods must be distinct" in err
         assert "n_elements must be >= 1" in err
+        assert "force_band must satisfy 0 <= lo < hi <= Nyquist (5000 Hz)" in err
+        assert "force_band must be a pair [lo, hi]" in err
+        assert "force_rms must be positive" in err
         assert "n_modes must be >= 1" in err
         assert "record CSV time column must increase" in err
         assert "record CSV time steps must be uniform" in err

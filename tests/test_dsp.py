@@ -152,12 +152,12 @@ class TestBandLimitedForce:
     RATE = 10000.0
 
     def test_exact_rms(self):
-        x = band_limited_force(5.0, self.RATE, (1.0, 1500.0), 0.2, 9)
+        x = band_limited_force(5.0, self.RATE, (1.0, 1500.0), 0.2, [9])[0]
         assert np.sqrt(np.mean(x * x)) == pytest.approx(0.2, rel=1e-12)
 
     def test_out_of_band_power_negligible(self):
         """Spectral lines outside the band carry < 1e-6 of the total power."""
-        x = band_limited_force(5.0, self.RATE, (1.0, 1500.0), 0.2, 9)
+        x = band_limited_force(5.0, self.RATE, (1.0, 1500.0), 0.2, [9])[0]
         freqs = np.fft.rfftfreq(x.size, 1.0 / self.RATE)
         mag2 = np.abs(np.fft.rfft(x)) ** 2
         out = (freqs < 1.0) | (freqs > 1500.0)
@@ -167,8 +167,8 @@ class TestBandLimitedForce:
         """max |normalized cross-correlation| <= 0.05 over +-100 lags."""
         n = 50000
         dur = (n - 1) / self.RATE
-        a = band_limited_force(dur, self.RATE, (1.0, 1500.0), 0.2, derive_seed(42, "force", 1))
-        b = band_limited_force(dur, self.RATE, (1.0, 1500.0), 0.2, derive_seed(42, "force", 2))
+        a, b = band_limited_force(dur, self.RATE, (1.0, 1500.0), 0.2,
+                                  [derive_seed(42, "force", 1), derive_seed(42, "force", 2)])
         denom = np.sqrt(np.sum(a * a) * np.sum(b * b))
         worst = max(abs(np.dot(a[max(0, k):n + min(0, k)], b[max(0, -k):n - max(0, k)]))
                     for k in range(-100, 101)) / denom
@@ -176,20 +176,37 @@ class TestBandLimitedForce:
 
     def test_deterministic(self):
         np.testing.assert_array_equal(
-            band_limited_force(1.0, self.RATE, (1.0, 1500.0), 0.2, 3),
-            band_limited_force(1.0, self.RATE, (1.0, 1500.0), 0.2, 3))
+            band_limited_force(1.0, self.RATE, (1.0, 1500.0), 0.2, [3]),
+            band_limited_force(1.0, self.RATE, (1.0, 1500.0), 0.2, [3]))
 
     def test_zero_mean(self):
-        x = band_limited_force(1.0, self.RATE, (0.0, 1500.0), 0.2, 3)
+        x = band_limited_force(1.0, self.RATE, (0.0, 1500.0), 0.2, [3])[0]
         assert abs(np.mean(x)) < 1e-12
+
+    @pytest.mark.parametrize("duration", [5.0, 4.9999])
+    def test_rows_match_single_seed_calls(self, duration):
+        """Batching changes no bit: each row equals the call with its seed
+        alone, on the campaign grid (n = 50001, odd) and an even length."""
+        seeds = [derive_seed(42, "force", "CF", k) for k in range(10)]
+        x = band_limited_force(duration, self.RATE, (1.0, 1500.0), 0.2, seeds)
+        assert x.shape == (10, int(round(duration * self.RATE)) + 1)
+        for row, seed in zip(x, seeds):
+            single = band_limited_force(duration, self.RATE, (1.0, 1500.0), 0.2, [seed])
+            assert single.shape == (1, x.shape[1])
+            assert np.array_equal(row, single[0])
+            assert np.sqrt(np.mean(row * row)) == pytest.approx(0.2, rel=1e-12)
 
     def test_band_validation(self):
         with pytest.raises(ValueError):
-            band_limited_force(1.0, self.RATE, (1.0, 5001.0), 0.2, 3)
+            band_limited_force(1.0, self.RATE, (1.0, 5001.0), 0.2, [3])
         with pytest.raises(ValueError):
-            band_limited_force(1.0, self.RATE, (1500.0, 1.0), 0.2, 3)
+            band_limited_force(1.0, self.RATE, (1500.0, 1.0), 0.2, [3])
         with pytest.raises(ValueError):
-            band_limited_force(1.0, self.RATE, (1.0, 1500.0), 0.0, 3)
+            band_limited_force(1.0, self.RATE, (1.0, 1500.0), 0.0, [3])
+        with pytest.raises(ValueError, match="force_band must be a pair"):
+            band_limited_force(1.0, self.RATE, (1.0,), 0.2, [3])
+        with pytest.raises(ValueError, match="no spectral line"):
+            band_limited_force(1.0, self.RATE, (1.2, 1.8), 0.2, [3])
 
 
 class TestPsd:

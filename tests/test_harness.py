@@ -121,7 +121,15 @@ class TestConfig:
                         ({"ssi": {"min_cluster_size": 0}}, "min_cluster_size must be >= 1"),
                         (_beam({"n_elements": 0}), "n_elements must be >= 1"),
                         (_beam({"width": 0.0}), "section dimensions must be positive"),
-                        (_beam({"damping_ratio": 1.0}), "damping_ratio must lie in [0, 1)")]
+                        (_beam({"damping_ratio": 1.0}), "damping_ratio must lie in [0, 1)"),
+                        (_beam({"force_band": [1.0, 6000.0]}),
+                         "force_band must satisfy 0 <= lo < hi <= Nyquist (5000 Hz)"),
+                        (_beam({"force_band": [1500.0, 1.0]}),
+                         "force_band must satisfy 0 <= lo < hi <= Nyquist"),
+                        (_beam({"force_band": [1.0]}), "force_band must be a pair [lo, hi]"),
+                        (_beam({"force_band": [1.2, 1.8], "duration": 1.0}),
+                         "force_band contains no spectral line"),
+                        (_beam({"force_rms": 0.0}), "force_rms must be positive")]
         for doc, message in out_of_range:
             with pytest.raises(ValueError, match=re.escape(message)):
                 CampaignConfig.from_dict(doc)
