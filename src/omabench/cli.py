@@ -20,7 +20,7 @@ from .dsp import MultiChannelRecord
 from .harness import (BeamConfig, BenchmarkReport, CampaignConfig, DEFAULT_SEED,
                       _fmt, _write_csv, fe_reference, identify_record, run_campaign,
                       simulate_beam, simulate_beams, summarize_and_tables)
-from .noise import NoiseSpec, corrupt, noise_level_to_snr_db
+from .noise import corrupt, noise_level_to_snr_db
 
 __all__ = ["main", "run_cli", "resolve_jobs", "DEFAULT_SEED"]
 
@@ -113,9 +113,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_corrupt(args) -> int:
     record = _load_record(args.infile)
-    noisy, snr_db = corrupt(record, NoiseSpec(args.nl, args.seed))
+    noisy, snr_db = corrupt(record, args.nl, args.seed)
     _save_record(noisy, args.out)
-    if args.nl == 0:
+    if snr_db is None:
         print(f"wrote {args.out}: noise level 0, record unchanged")
         return 0
     # Channels with zero signal receive no noise and have no SNR.

@@ -117,20 +117,6 @@ class MultiChannelRecord:
     def times(self) -> np.ndarray:
         return np.arange(self.n_samples) / self.sample_rate
 
-    def channel(self, label: str) -> np.ndarray:
-        try:
-            idx = self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"no channel labeled {label!r}") from None
-        return self.data[idx]
-
-    def with_data(self, data) -> "MultiChannelRecord":
-        """Return a record with the same rate and labels but new data."""
-        return MultiChannelRecord(self.sample_rate, data, self.labels)
-
-    def rms_per_channel(self) -> np.ndarray:
-        return np.sqrt(np.mean(self.data * self.data, axis=1))
-
     def to_csv(self, path) -> None:
         """Write ``time,<label>...`` CSV with full-precision doubles."""
         t = self.times()

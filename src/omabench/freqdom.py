@@ -31,7 +31,6 @@ __all__ = [
     "fdd_identify",
     "pp_shape_at",
     "fdd_shape_at",
-    "singular_value_curve",
     "write_curve_csv",
 ]
 
@@ -276,11 +275,6 @@ def pp_identify(g: SpectralMatrix, peaks: PeakOptions = PeakOptions(),
 def _first_singular_values(values: np.ndarray) -> np.ndarray:
     """First singular value of each Hermitian CSD line of ``values``."""
     return np.maximum(np.linalg.eigvalsh(values)[:, -1], 0.0)
-
-
-def singular_value_curve(spectral: SpectralMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """First singular value of the CSD matrix at every frequency line."""
-    return spectral.frequencies, _first_singular_values(spectral.values)
 
 
 def fdd_shape_at(spectral: SpectralMatrix, frequency: float) -> np.ndarray:

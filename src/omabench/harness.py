@@ -27,7 +27,7 @@ from .dsp import (MultiChannelRecord, SpectralEstimatorOptions, band_limited_for
 from .freqdom import (IdentifiedModeSet, PeakOptions, anpsd, fdd_identify, pp_identify,
                       unit_normalize, write_curve_csv)
 from .metrics import PairingOptions, mac, pair_to_reference, relative_error
-from .noise import NoiseSpec, corrupt, noise_level_to_snr_db
+from .noise import corrupt, noise_level_to_snr_db
 from .ssi import SsiOptions, ssi_identify
 
 __all__ = [
@@ -189,7 +189,8 @@ def _object(value, where: str) -> dict:
 # JSON value checks by the leading name of a field's annotation.
 _JSON_KINDS = {
     "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    "float": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    "float": ("a finite number", lambda v: isinstance(v, int) and not isinstance(v, bool)
+              or isinstance(v, float) and math.isfinite(v)),
     "bool": ("a boolean", lambda v: isinstance(v, bool)),
     "str": ("a string", lambda v: isinstance(v, str)),
 }
@@ -362,12 +363,9 @@ def _score_method(mode_set: IdentifiedModeSet, ref_freqs, ref_shapes,
 def _noisy_record(artifacts: BeamArtifacts, config: CampaignConfig,
                   nl_index: int, run_index: int):
     """The (level, run) cell's corrupted record and its per-channel SNR [dB]."""
-    level = config.noise_levels[nl_index]
-    if level == 0:
-        return artifacts.clean_record, None
-    return corrupt(artifacts.clean_record,
-                   NoiseSpec(level, derive_seed(config.master_seed, "noise",
-                                                artifacts.config.beam_id, nl_index, run_index)))
+    return corrupt(artifacts.clean_record, config.noise_levels[nl_index],
+                   derive_seed(config.master_seed, "noise", artifacts.config.beam_id,
+                               nl_index, run_index))
 
 
 def identify_record(record: MultiChannelRecord, artifacts: BeamArtifacts,
@@ -377,8 +375,14 @@ def identify_record(record: MultiChannelRecord, artifacts: BeamArtifacts,
 
     Numerical and validation errors of an identifier, including those of the
     CSD matrix that PP and FDD share, are recorded in its result and never
-    abort the others; any other exception propagates.
+    abort the others; any other exception propagates.  A record whose
+    channel count differs from the reference shapes' is the caller's error
+    and raises ``ValueError`` before any identifier runs.
     """
+    n_ref = artifacts.reference_shapes.shape[0]
+    if record.n_channels != n_ref:
+        raise ValueError(f"record has {record.n_channels} channels but beam "
+                         f"{artifacts.config.beam_id} has {n_ref}")
     ref_f = artifacts.reference_frequencies
     spectral = None
     methods: dict[str, MethodResult] = {}

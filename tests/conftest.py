@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from omabench.dsp import derive_seed
-from omabench.harness import (CampaignConfig, DEFAULT_NOISE_LEVELS, default_beams,
-                              run_campaign, simulate_beam)
-from omabench.noise import NoiseSpec, corrupt
+from omabench.harness import (CampaignConfig, DEFAULT_NOISE_LEVELS, _noisy_record,
+                              default_beams, run_campaign, simulate_beam)
 
 MASTER_SEED = 42
 CAMPAIGN_LEVELS = (0.0,) + DEFAULT_NOISE_LEVELS
@@ -36,13 +34,11 @@ def noisy_record(beam_artifacts):
     ``noisy_record(beam_id, level, run)`` reproduces exactly the record the
     benchmark harness would process for that (level, run) cell.
     """
+    config = CampaignConfig(noise_levels=CAMPAIGN_LEVELS, master_seed=MASTER_SEED)
+
     def make(beam_id: str, level: float, run: int = 0):
-        art = beam_artifacts[beam_id]
-        if level == 0.0:
-            return art.clean_record
-        nl_index = CAMPAIGN_LEVELS.index(level)
-        seed = derive_seed(MASTER_SEED, "noise", beam_id, nl_index, run)
-        rec, _ = corrupt(art.clean_record, NoiseSpec(level, seed))
+        rec, _ = _noisy_record(beam_artifacts[beam_id], config,
+                               CAMPAIGN_LEVELS.index(level), run)
         return rec
 
     return make

@@ -24,7 +24,7 @@ from omabench.freqdom import PeakOptions, anpsd, fdd_identify, pp_identify
 from omabench.harness import (BeamConfig, CampaignConfig, run_campaign,
                               summarize_and_tables)
 from omabench.metrics import mac, pair_to_reference
-from omabench.noise import NoiseSpec, corrupt, noise_level_to_snr_db
+from omabench.noise import corrupt, noise_level_to_snr_db
 from omabench.ssi import SsiOptions, build_hankel, realize_modes, ssi_identify
 
 # Reported reference values the criteria compare against.
@@ -129,7 +129,7 @@ def test_criterion_3_noise_calibration(acceptance, cf):
     for level in (0.05, 1.00):
         nominal = noise_level_to_snr_db(level)
         for seed in range(100):
-            _, snr_db = corrupt(rec, NoiseSpec(level, seed))
+            _, snr_db = corrupt(rec, level, seed)
             worst = max(worst, max(abs(db - nominal) for db in snr_db))
     elapsed = time.perf_counter() - t0
 
@@ -352,8 +352,9 @@ def test_criterion_7_parseval(acceptance):
 def test_criterion_7_anpsd_scaling(acceptance, cf):
     """Rescaling one channel leaves the averaged normalized density alone."""
     rec = cf.clean_record
-    scaled = rec.with_data(rec.data * np.where(np.arange(rec.n_channels) == 3,
-                                               2.5e5, 1.0)[:, None])
+    scaled = MultiChannelRecord(rec.sample_rate,
+                                rec.data * np.where(np.arange(rec.n_channels) == 3,
+                                                    2.5e5, 1.0)[:, None], rec.labels)
     base = anpsd(rec, SINGLE)
     other = anpsd(scaled, SINGLE)
     ok = np.allclose(base.values, other.values, rtol=1e-9)
@@ -365,7 +366,7 @@ def test_criterion_7_anpsd_scaling(acceptance, cf):
 def test_criterion_7_identifier_scaling(acceptance, cf):
     """All three identifiers are invariant to a global record gain."""
     rec = cf.clean_record
-    scaled = rec.with_data(rec.data * 3.7)
+    scaled = MultiChannelRecord(rec.sample_rate, rec.data * 3.7, rec.labels)
     worst_df, min_mac, ok = 0.0, 1.0, True
     for fn in (*PEAK_METHODS, ssi_identify):
         a, b = fn(rec), fn(scaled)

@@ -47,6 +47,21 @@ def bench_out(tmp_path_factory):
     return code, root / "out", cfg_path
 
 
+def cli_env(**overrides) -> dict:
+    """The test process's environment with ``src`` on the path, updated by
+    ``overrides``; a ``None`` value removes that variable."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
+    for key, value in overrides.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    return env
+
+
 def read_mode_table(path):
     rows = []
     with open(path) as fh:
@@ -96,7 +111,10 @@ class TestExitCodes:
                     {"beams": [{"beam_id": "A", "support": "CF", "force_band": [1.0, 6000.0]}]},
                     {"beams": [{"beam_id": "A", "support": "CF", "force_band": [1500.0, 1.0]}]},
                     {"beams": [{"beam_id": "A", "support": "CF", "force_band": [1.0]}]},
-                    {"beams": [{"beam_id": "A", "support": "CF", "force_rms": 0.0}]}):
+                    {"beams": [{"beam_id": "A", "support": "CF", "force_rms": 0.0}]},
+                    {"noise_levels": [float("nan")]},
+                    {"peaks": {"prominence_db": float("nan")},
+                     "ssi": {"freq_rel": float("nan")}}):
             bad_cfg.write_text(json.dumps(doc))
             assert run_cli(["bench", "--config", str(bad_cfg)]) == 2, doc
         err = capsys.readouterr().err
@@ -117,15 +135,13 @@ class TestExitCodes:
         assert "n_modes must be >= 1" in err
         assert "record CSV time column must increase" in err
         assert "record CSV time steps must be uniform" in err
+        assert "config key 'noise_levels[0]' must be a finite number" in err
+        assert "config key 'peaks.prominence_db' must be a finite number" in err
 
     def test_module_entry_point(self):
         """``python -m omabench.cli`` runs the command line."""
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, "-m", "omabench.cli", "--help"],
-                              capture_output=True, text=True, env=env, timeout=120)
+                              capture_output=True, text=True, env=cli_env(), timeout=120)
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: omabench")
 
@@ -288,6 +304,18 @@ class TestIdentify:
         assert err.count("record too short") == 1
         assert err.startswith("omabench: identify failed: ")
 
+    def test_channel_count_mismatch_is_caller_error(self, tmp_path, capsys):
+        """A record of another mesh is rejected before any identifier runs."""
+        rec_path = tmp_path / "cf20.npz"
+        assert run_cli(["simulate", "--beam", "CF", "--elements", "20", "--duration", "0.3",
+                        "--out", str(rec_path)]) == 0
+        capsys.readouterr()
+        assert run_cli(["identify", "--in", str(rec_path), "--method", "pp",
+                        "--beam", "CF", "--out", str(tmp_path / "m.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "record has 20 channels but beam CF has 10" in err
+        assert not (tmp_path / "m.csv").exists()
+
     def test_seed_option_removed(self, cf_record_npz, tmp_path, capsys):
         assert run_cli(["identify", "--in", str(cf_record_npz), "--method", "pp",
                         "--beam", "CF", "--out", str(tmp_path / "m.csv"),
@@ -346,6 +374,28 @@ class TestBench:
             second = json.load(fh)
         assert first["results"] == second["results"]
         assert first["mac_statistics"] == second["mac_statistics"]
+
+    def test_bytes_independent_of_blas_environment(self, tmp_path):
+        """bench writes the same bytes with the BLAS thread variables unset
+        as with them set to 1: importing omabench pins them itself."""
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps({"runs": 1, "noise_levels": [0.5], "beams": [
+            {"beam_id": "CF", "support": "CF", "duration": 2.0}]}))
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        outputs = []
+        for name, value in (("unset", None), ("pinned", "1")):
+            cwd = tmp_path / name
+            cwd.mkdir()
+            proc = subprocess.run([sys.executable, "-m", "omabench.cli", "bench", "--config",
+                                   str(config), "--out", "b", "--jobs", "1"],
+                                  cwd=cwd, capture_output=True, text=True, timeout=600,
+                                  env=cli_env(**dict.fromkeys(blas, value)))
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(cwd / "b")
+        names = sorted(p.name for p in outputs[0].iterdir())
+        assert names == sorted(p.name for p in outputs[1].iterdir())
+        for name in names:
+            assert filecmp.cmp(outputs[0] / name, outputs[1] / name, shallow=False), name
 
     def test_missing_config_exits_two(self, tmp_path, capsys):
         assert run_cli(["bench", "--config", str(tmp_path / "none.json")]) == 2

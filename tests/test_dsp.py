@@ -80,12 +80,6 @@ class TestMultiChannelRecord:
         assert rec.duration == pytest.approx(1.0, rel=1e-12)
         assert rec.times()[1] == pytest.approx(0.01, rel=1e-12)
 
-    def test_channel_lookup(self):
-        rec = MultiChannelRecord(10.0, [[1.0, 2.0], [3.0, 4.0]], ("a", "b"))
-        np.testing.assert_array_equal(rec.channel("b"), [3.0, 4.0])
-        with pytest.raises(KeyError):
-            rec.channel("c")
-
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             MultiChannelRecord(0.0, [[1.0, 2.0]])
@@ -139,13 +133,6 @@ class TestMultiChannelRecord:
         back = MultiChannelRecord.from_npz(path)
         assert back.sample_rate == rec.sample_rate
         np.testing.assert_array_equal(back.data, rec.data)
-
-    def test_with_data_keeps_metadata(self):
-        rec = self._rec()
-        out = rec.with_data(rec.data * 2.0)
-        assert out.sample_rate == rec.sample_rate
-        assert out.labels == rec.labels
-        np.testing.assert_array_equal(out.data, rec.data * 2.0)
 
 
 class TestBandLimitedForce:

@@ -137,13 +137,23 @@ class TestConfig:
                       ({"runs": True}, "'runs' must be an integer"),
                       ({"beams": 5}, "'beams' must be a list"),
                       ({"noise_levels": 0.5}, "'noise_levels' must be a list"),
-                      ({"noise_levels": [0.5, "1"]}, "'noise_levels[1]' must be a number"),
-                      ({"pairing": {"f_window": "0.1"}}, "'pairing.f_window' must be a number"),
+                      ({"noise_levels": [0.5, "1"]}, "'noise_levels[1]' must be a finite number"),
+                      ({"pairing": {"f_window": "0.1"}},
+                       "'pairing.f_window' must be a finite number"),
                       ({"estimator": {"segments": 9.0}}, "'estimator.segments' must be an integer"),
                       ({"ssi": {"detrend": 1}}, "'ssi.detrend' must be a boolean"),
                       ({"ssi": {"orders": [2, "4"]}}, "'ssi.orders[1]' must be an integer"),
                       ({"beams": [{"beam_id": "X", "support": "CF", "span": "1"}]},
-                       "'beams[0].span' must be a number")]
+                       "'beams[0].span' must be a finite number"),
+                      ({"noise_levels": [math.nan]}, "'noise_levels[0]' must be a finite number"),
+                      ({"peaks": {"prominence_db": math.nan}},
+                       "'peaks.prominence_db' must be a finite number"),
+                      ({"ssi": {"freq_rel": math.nan}}, "'ssi.freq_rel' must be a finite number"),
+                      ({"pairing": {"f_window": math.inf}},
+                       "'pairing.f_window' must be a finite number"),
+                      ({"beams": [{"beam_id": "X", "support": "CF",
+                                   "force_band": [1.0, -math.inf]}]},
+                       "'beams[0].force_band[1]' must be a finite number")]
         for doc, message in wrong_type:
             with pytest.raises(ValueError, match=re.escape(f"config key {message}")):
                 CampaignConfig.from_dict(doc)

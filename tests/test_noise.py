@@ -10,9 +10,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from omabench.dsp import MultiChannelRecord, gaussian_white
+from omabench.dsp import MultiChannelRecord, derive_seed, gaussian_white
 from omabench.harness import DEFAULT_NOISE_LEVELS
-from omabench.noise import NoiseSpec, corrupt, make_noise, noise_level_to_snr_db
+from omabench.noise import corrupt, noise_level_to_snr_db
 
 # level -> nominal SNR in dB, rounded to two decimals
 LEVEL_TABLE = {
@@ -51,65 +51,77 @@ class TestSnrAlgebra:
         with pytest.raises(ValueError):
             noise_level_to_snr_db(-0.1)
         with pytest.raises(ValueError):
-            NoiseSpec(-0.1, 1)
+            corrupt(white_record(1, 10), -0.1, 1)
+
+
+def added_noise(rec: MultiChannelRecord, level: float, seed: int) -> np.ndarray:
+    """The noise ``corrupt`` adds to ``rec``: noisy minus clean samples."""
+    noisy, _ = corrupt(rec, level, seed)
+    return noisy.data - rec.data
 
 
 class TestMakeNoise:
+    """The added noise stream: its power, channel independence and seeding."""
+
     def test_zero_level_zero_noise(self):
         rec = white_record(2, 1000)
-        noise = make_noise(rec, NoiseSpec(0.0, 7))
-        np.testing.assert_array_equal(noise.data, 0.0)
+        np.testing.assert_array_equal(added_noise(rec, 0.0, 7), 0.0)
 
     def test_noise_power_concentration(self):
         """Realized P_n / (P_s * NL^2) lies in 1 +- 0.02 at 50000 samples."""
         rec = white_record(3)
-        noise = make_noise(rec, NoiseSpec(0.2, 7))
+        noise = added_noise(rec, 0.2, 7)
         p_s = np.mean(rec.data ** 2, axis=1)
-        p_n = np.mean(noise.data ** 2, axis=1)
+        p_n = np.mean(noise ** 2, axis=1)
         np.testing.assert_allclose(p_n / (p_s * 0.2 ** 2), 1.0, atol=0.02)
 
     def test_channels_independent(self):
         """Generated noise channels decorrelate within +-0.02."""
         rec = white_record(4)
-        noise = make_noise(rec, NoiseSpec(1.0, 7))
-        z = noise.data / noise.data.std(axis=1, keepdims=True)
+        noise = added_noise(rec, 1.0, 7)
+        z = noise / noise.std(axis=1, keepdims=True)
         c = z @ z.T / z.shape[1]
         off = c[~np.eye(4, dtype=bool)]
         assert np.max(np.abs(off)) <= 0.02
 
     def test_deterministic(self):
         rec = white_record(2, 1000)
-        a = make_noise(rec, NoiseSpec(0.5, 9))
-        b = make_noise(rec, NoiseSpec(0.5, 9))
-        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(added_noise(rec, 0.5, 9), added_noise(rec, 0.5, 9))
 
     def test_seed_changes_stream(self):
         rec = white_record(1, 1000)
-        a = make_noise(rec, NoiseSpec(0.5, 9))
-        b = make_noise(rec, NoiseSpec(0.5, 10))
-        assert np.max(np.abs(a.data - b.data)) > 0.0
+        a = added_noise(rec, 0.5, 9)
+        b = added_noise(rec, 0.5, 10)
+        assert np.max(np.abs(a - b)) > 0.0
 
 
 class TestCorrupt:
     def test_zero_level_identity(self):
         """NL = 0 returns the input samples bit-exactly."""
         rec = white_record(2, 1000)
-        noisy, snr_db = corrupt(rec, NoiseSpec(0.0, 7))
+        noisy, _ = corrupt(rec, 0.0, 7)
         np.testing.assert_array_equal(noisy.data, rec.data)
-        assert snr_db == (None, None)
+
+    def test_zero_level_returns_record_itself(self):
+        """NL = 0 returns the input record object, uncopied, and no SNR."""
+        rec = white_record(2, 1000)
+        noisy, snr_db = corrupt(rec, 0.0, 7)
+        assert noisy is rec
+        assert snr_db is None
 
     def test_subtracting_noise_recovers_input(self):
         rec = white_record(2, 1000)
-        spec = NoiseSpec(0.75, 7)
-        noisy, _ = corrupt(rec, spec)
-        noise = make_noise(rec, spec)
-        np.testing.assert_allclose(noisy.data - noise.data, rec.data, atol=1e-12)
+        noisy, _ = corrupt(rec, 0.75, 7)
+        rms = np.sqrt(np.mean(rec.data ** 2, axis=1))
+        noise = np.vstack([rms[j] * 0.75 * gaussian_white(1000, derive_seed(7, "channel", j))
+                           for j in range(2)])
+        np.testing.assert_allclose(noisy.data - noise, rec.data, atol=1e-12)
 
     def test_realized_snr_near_nominal(self):
         """Realized per-channel SNR stays within 0.2 dB at 50000 samples."""
         rec = white_record(3)
         for level in (0.05, 1.0):
-            _, snr_db = corrupt(rec, NoiseSpec(level, 11))
+            _, snr_db = corrupt(rec, level, 11)
             nominal = noise_level_to_snr_db(level)
             assert len(snr_db) == 3
             for db in snr_db:
@@ -119,13 +131,13 @@ class TestCorrupt:
         """At 1e6 samples the realized SNR is within 0.05 dB of nominal."""
         data = gaussian_white(1_000_000, 5)
         rec = MultiChannelRecord(10000.0, data)
-        _, snr_db = corrupt(rec, NoiseSpec(0.5, 13))
+        _, snr_db = corrupt(rec, 0.5, 13)
         assert snr_db[0] == pytest.approx(noise_level_to_snr_db(0.5), abs=0.05)
 
     def test_report_accounting(self):
         """SNR_dB = 10 log10(P_s / P_n), recomputed from the two records."""
         rec = white_record(2, 2000)
-        noisy, snr_db = corrupt(rec, NoiseSpec(0.2, 3))
+        noisy, snr_db = corrupt(rec, 0.2, 3)
         p_s = np.mean(rec.data ** 2, axis=1)
         p_n = np.mean((noisy.data - rec.data) ** 2, axis=1)
         np.testing.assert_allclose(snr_db, 10.0 * np.log10(p_s / p_n), rtol=1e-9)
@@ -133,20 +145,20 @@ class TestCorrupt:
     def test_zero_channel_has_no_snr(self):
         """A channel with zero signal receives no noise and reports no SNR."""
         rec = white_record(2, 1000)
-        rec = rec.with_data(np.vstack([rec.data[0], np.zeros(1000)]))
-        noisy, snr_db = corrupt(rec, NoiseSpec(0.5, 4))
+        rec = MultiChannelRecord(rec.sample_rate, np.vstack([rec.data[0], np.zeros(1000)]))
+        noisy, snr_db = corrupt(rec, 0.5, 4)
         np.testing.assert_array_equal(noisy.data[1], 0.0)
         assert snr_db[0] is not None and snr_db[1] is None
 
     def test_deterministic(self):
         rec = white_record(2, 1000)
-        a, _ = corrupt(rec, NoiseSpec(0.5, 21))
-        b, _ = corrupt(rec, NoiseSpec(0.5, 21))
+        a, _ = corrupt(rec, 0.5, 21)
+        b, _ = corrupt(rec, 0.5, 21)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_preserves_metadata(self):
         rec = MultiChannelRecord(100.0, np.random.default_rng(0).standard_normal((2, 100)),
                                  ("5", "6"))
-        noisy, _ = corrupt(rec, NoiseSpec(0.1, 2))
+        noisy, _ = corrupt(rec, 0.1, 2)
         assert noisy.labels == rec.labels
         assert noisy.sample_rate == rec.sample_rate

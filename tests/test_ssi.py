@@ -414,7 +414,7 @@ class TestSsiIdentify:
         """A positive record gain moves no frequency, damping, or shape."""
         rec = cf.clean_record
         a = ssi_identify(rec)
-        b = ssi_identify(rec.with_data(rec.data * 3.7))
+        b = ssi_identify(MultiChannelRecord(rec.sample_rate, rec.data * 3.7, rec.labels))
         assert len(a.modes) == len(b.modes)
         np.testing.assert_allclose(b.frequencies, a.frequencies, rtol=1e-9)
         for x, y in zip(a.modes, b.modes):
