@@ -16,10 +16,10 @@ from dataclasses import replace
 import numpy as np
 
 from .beam import SUPPORTS
-from .dsp import MultiChannelRecord
+from .dsp import MultiChannelRecord, fmt, write_csv
 from .harness import (BeamConfig, BenchmarkReport, CampaignConfig, DEFAULT_SEED,
-                      _fmt, _write_csv, fe_reference, identify_record, run_campaign,
-                      simulate_beam, simulate_beams, summarize_and_tables)
+                      fe_reference, identify_record, run_campaign, simulate_beam,
+                      simulate_beams, summarize_and_tables)
 from .noise import corrupt, noise_level_to_snr_db
 
 __all__ = ["main", "run_cli", "resolve_jobs", "DEFAULT_SEED"]
@@ -135,10 +135,10 @@ def _cmd_identify(args) -> int:
     result = identify_record(record, art, replace(CampaignConfig(), methods=(method,)))[method]
     if result.failed:
         raise ValueError(result.notes[0].removeprefix("failed: "))
-    _write_csv(args.out, ["mode", "reference_hz", "frequency_hz", "rel_err_pct", "mac"],
-               ([str(k + 1), _fmt(ref), _fmt(o.frequency), _fmt(o.rel_err_pct),
-                 _fmt(o.mac if o.identified else None)]
-                for k, (ref, o) in enumerate(zip(art.reference_frequencies, result.modes))))
+    write_csv(args.out, ["mode", "reference_hz", "frequency_hz", "rel_err_pct", "mac"],
+              ([str(k + 1), fmt(ref), fmt(o.frequency), fmt(o.rel_err_pct),
+                fmt(o.mac if o.identified else None)]
+               for k, (ref, o) in enumerate(zip(art.reference_frequencies, result.modes))))
     n_paired = sum(o.identified for o in result.modes)
     print(f"wrote {args.out}: {n_paired}/{len(result.modes)} modes paired "
           f"({method}, {len(result.identified_frequencies)} candidates)")
@@ -151,6 +151,7 @@ def _cmd_bench(args) -> int:
     overrides = {"runs": args.runs, "output_dir": args.out}
     config = replace(CampaignConfig.from_dict(doc),
                      **{k: v for k, v in overrides.items() if v is not None})
+    os.makedirs(config.output_dir, exist_ok=True)  # fail before the campaign, not after
     artifacts = simulate_beams(config)
     report = run_campaign(config, jobs=resolve_jobs(args.jobs), artifacts=artifacts)
     written = summarize_and_tables(report, config.output_dir, artifacts=artifacts)

@@ -25,6 +25,8 @@ __all__ = [
     "band_limited_force",
     "psd",
     "csd_matrix",
+    "fmt",
+    "write_csv",
 ]
 
 _WINDOWS = ("rectangular", "hann")
@@ -53,6 +55,21 @@ def derive_seed(*parts) -> int:
     token = "\x1f".join(str(p) for p in parts).encode("utf-8")
     digest = hashlib.sha256(token).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+def fmt(x) -> str:
+    """CSV cell: the shortest round-trip decimal of ``float(x)``; ``-`` for None."""
+    return "-" if x is None else repr(float(x))
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write the header and then every row, cells joined by commas.
+
+    ``rows`` is consumed lazily, so a generator streams to the file.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(cells) + "\n" for cells in rows)
 
 
 def gaussian_white(n_samples: int, seed: int) -> np.ndarray:
@@ -119,14 +136,9 @@ class MultiChannelRecord:
 
     def to_csv(self, path) -> None:
         """Write ``time,<label>...`` CSV with full-precision doubles."""
-        t = self.times()
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("time," + ",".join(self.labels) + "\n")
-            cols = self.data
-            for i in range(self.n_samples):
-                row = [repr(float(t[i]))] + [repr(float(cols[j, i]))
-                                             for j in range(self.n_channels)]
-                fh.write(",".join(row) + "\n")
+        write_csv(path, ["time", *self.labels],
+                  ([fmt(t), *map(fmt, row)]
+                   for t, row in zip(self.times().tolist(), self.data.T.tolist())))
 
     @classmethod
     def from_csv(cls, path) -> "MultiChannelRecord":

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import MultiChannelRecord, SpectralEstimatorOptions, SpectralMatrix, psd
+from .dsp import (MultiChannelRecord, SpectralEstimatorOptions, SpectralMatrix, fmt, psd,
+                  write_csv)
 
 __all__ = [
     "PeakOptions",
@@ -310,7 +311,5 @@ def write_curve_csv(path, frequencies, values) -> None:
     v = np.asarray(values, dtype=float)
     if f.size != v.size:
         raise ValueError("frequency and value arrays must match")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("frequency_hz,value\n")
-        for i in range(f.size):
-            fh.write(f"{float(f[i])!r},{float(v[i])!r}\n")
+    write_csv(path, ["frequency_hz", "value"],
+              ([fmt(a), fmt(b)] for a, b in zip(f.tolist(), v.tolist())))

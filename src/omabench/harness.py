@@ -23,7 +23,7 @@ import numpy as np
 from .beam import (BeamModel, GlobalSystem, ModalSolution, SUPPORTS, assemble_model,
                    modal_analysis, transient_response)
 from .dsp import (MultiChannelRecord, SpectralEstimatorOptions, band_limited_force,
-                  csd_matrix, derive_seed, force_lines)
+                  csd_matrix, derive_seed, fmt, force_lines, write_csv)
 from .freqdom import (IdentifiedModeSet, PeakOptions, anpsd, fdd_identify, pp_identify,
                       unit_normalize, write_curve_csv)
 from .metrics import PairingOptions, mac, pair_to_reference, relative_error
@@ -140,9 +140,15 @@ class CampaignConfig:
             raise ValueError("beam ids must be unique")
         if self.n_modes < 1:
             raise ValueError("n_modes must be >= 1")
+        if self.ssi.orders is not None:  # the default orders fit every beam
+            for bc in self.beams:
+                try:
+                    self.ssi.resolve_orders(assemble_model(bc.model()).n_channels)
+                except ValueError as exc:
+                    raise ValueError(f"ssi.orders for beam {bc.beam_id}: {exc}") from None
 
     def to_dict(self) -> dict:
-        return {"schema_version": SCHEMA_VERSION, **_to_json(self)}
+        return {"schema_version": SCHEMA_VERSION, **json.loads(_JSON.encode(self))}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CampaignConfig":
@@ -167,17 +173,13 @@ def _field_names(cls) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 
 
-def _to_json(value):
-    """JSON form: dataclasses and dicts become objects, tuples (of one kind) lists."""
-    if value is None or isinstance(value, (float, int, str)):
-        return value
-    if isinstance(value, tuple):
-        return [_to_json(v) for v in value] if value and is_dataclass(value[0]) else list(value)
-    if isinstance(value, dict):
-        return {k: _to_json(v) for k, v in value.items()}
-    if is_dataclass(value):
-        return {name: _to_json(getattr(value, name)) for name in _field_names(type(value))}
-    return value
+def _fields(value) -> dict:
+    """JSON object of a dataclass, by field; the encoder does everything else."""
+    return {name: getattr(value, name) for name in _field_names(type(value))}
+
+
+# Dataclasses become objects, tuples lists; the C encoder walks the rest.
+_JSON = json.JSONEncoder(default=_fields)
 
 
 def _object(value, where: str) -> dict:
@@ -505,14 +507,22 @@ class BenchmarkReport:
             "failure_counts": self.failure_counts,
             "mac_statistics": self.mac_statistics(),
         }
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(head, indent=1).removesuffix("\n}"))
-            fh.write(',\n "results": [')
-            separator = "\n"
-            for r in self.results:
-                fh.write(separator + json.dumps(_to_json(r)))
-                separator = ",\n"
-            fh.write("\n ]\n}\n")
+        # Written beside ``path`` and renamed over it, so an interrupted write
+        # never leaves a truncated report (``report`` may rewrite its input).
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(json.dumps(head, indent=1).removesuffix("\n}"))
+                fh.write(',\n "results": [')
+                separator = "\n"
+                for r in self.results:
+                    fh.write(separator + _JSON.encode(r))
+                    separator = ",\n"
+                fh.write("\n ]\n}\n")
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
     @classmethod
     def from_json(cls, path) -> "BenchmarkReport":
@@ -572,22 +582,6 @@ def run_campaign(config: CampaignConfig, jobs: int = 1,
 # ---------------------------------------------------------------------------
 # table emission
 
-def _fmt(x) -> str:
-    """Shortest round-trip decimal for floats; dash for missing cells."""
-    if x is None:
-        return "-"
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    return repr(float(x))
-
-
-def _write_csv(path, header: list[str], rows) -> None:
-    """Write the header and then every row, cells joined by commas."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for cells in (header, *rows):
-            fh.write(",".join(cells) + "\n")
-
-
 def summarize_and_tables(report: BenchmarkReport, outdir,
                          artifacts: dict | None = None) -> list[str]:
     """Write report.json, the campaign tables and the plot-data CSVs.
@@ -615,8 +609,8 @@ def summarize_and_tables(report: BenchmarkReport, outdir,
     stats = report.mac_statistics()
     methods, modes = config.methods, range(config.n_modes)
     levels = range(len(config.noise_levels))
-    tags = [repr(float(level)) for level in config.noise_levels]
-    snrs = [_fmt(math.inf if level == 0 else noise_level_to_snr_db(level))
+    tags = [fmt(level) for level in config.noise_levels]
+    snrs = [fmt(math.inf if level == 0 else noise_level_to_snr_db(level))
             for level in config.noise_levels]
     # Worst-case run of every (beam, level) cell, shared by all the tables.
     worst = {(bc.beam_id, nl): report.worst_run(bc.beam_id, nl)
@@ -624,19 +618,19 @@ def summarize_and_tables(report: BenchmarkReport, outdir,
 
     for bc in config.beams:
         beam_id = bc.beam_id
-        _write_csv(path(f"table_freq_{beam_id}.csv"),
-                   ["noise_level", "snr_db", "method"] + [f"mode{k+1}_hz" for k in modes],
-                   ([tags[nl], snrs[nl], name] +
-                    [_fmt(o.frequency if o.identified else None)
-                     for o in worst[beam_id, nl].methods[name].modes]
-                    for nl in levels for name in methods))
-        _write_csv(path(f"table_mac_{beam_id}.csv"),
-                   ["noise_level", "snr_db", "method", "mode",
-                    "mac_min", "mac_mean", "mac_std", "mac_worst_run"],
-                   ([tags[nl], snrs[nl], name, str(k + 1)] +
-                    [_fmt(stats[beam_id][name][k][nl][s]) for s in ("min", "mean", "std")] +
-                    [_fmt(worst[beam_id, nl].methods[name].modes[k].mac)]
-                    for nl in levels for name in methods for k in modes))
+        write_csv(path(f"table_freq_{beam_id}.csv"),
+                  ["noise_level", "snr_db", "method"] + [f"mode{k+1}_hz" for k in modes],
+                  ([tags[nl], snrs[nl], name] +
+                   [fmt(o.frequency if o.identified else None)
+                    for o in worst[beam_id, nl].methods[name].modes]
+                   for nl in levels for name in methods))
+        write_csv(path(f"table_mac_{beam_id}.csv"),
+                  ["noise_level", "snr_db", "method", "mode",
+                   "mac_min", "mac_mean", "mac_std", "mac_worst_run"],
+                  ([tags[nl], snrs[nl], name, str(k + 1)] +
+                   [fmt(stats[beam_id][name][k][nl][s]) for s in ("min", "mean", "std")] +
+                   [fmt(worst[beam_id, nl].methods[name].modes[k].mac)]
+                   for nl in levels for name in methods for k in modes))
 
         # Plot data: ANPSD of the worst run per level, reference + identified shapes.
         art = artifacts[beam_id]
@@ -650,11 +644,11 @@ def summarize_and_tables(report: BenchmarkReport, outdir,
             for k in modes:
                 ref_shape = unit_normalize(art.reference_shapes[:, k])
                 shapes = [wrun.methods[name].modes[k].shape for name in methods]
-                _write_csv(path(f"modeshape_{beam_id}_{k+1}_{tags[nl]}.csv"),
-                           ["x_m", "reference"] + [name.lower() for name in methods],
-                           ([repr(float(coords[c])), repr(float(ref_shape[c]))] +
-                            [_fmt(shape[c] if shape is not None else None) for shape in shapes]
-                            for c in range(coords.size)))
+                write_csv(path(f"modeshape_{beam_id}_{k+1}_{tags[nl]}.csv"),
+                          ["x_m", "reference"] + [name.lower() for name in methods],
+                          ([fmt(coords[c]), fmt(ref_shape[c])] +
+                           [fmt(shape[c] if shape is not None else None) for shape in shapes]
+                           for c in range(coords.size)))
 
     rows = []
     for bc in config.beams:
@@ -663,6 +657,6 @@ def summarize_and_tables(report: BenchmarkReport, outdir,
                 outcomes = [worst[bc.beam_id, nl].methods[name].modes[k] for nl in levels]
                 errs = [o.rel_err_pct for o in outcomes if o.identified]
                 rows.append([bc.beam_id, name, str(k + 1),
-                             _fmt(float(np.mean(errs)) if errs else None)])
-    _write_csv(path("table_err.csv"), ["beam", "method", "mode", "mean_rel_err_pct"], rows)
+                             fmt(np.mean(errs) if errs else None)])
+    write_csv(path("table_err.csv"), ["beam", "method", "mode", "mean_rel_err_pct"], rows)
     return written

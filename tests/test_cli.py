@@ -17,6 +17,7 @@ import sys
 import numpy as np
 import pytest
 
+from omabench import cli
 from omabench.cli import DEFAULT_SEED, resolve_jobs, run_cli
 from omabench.dsp import MultiChannelRecord
 from omabench.harness import CampaignConfig, DEFAULT_NOISE_LEVELS, run_single
@@ -114,7 +115,10 @@ class TestExitCodes:
                     {"beams": [{"beam_id": "A", "support": "CF", "force_rms": 0.0}]},
                     {"noise_levels": [float("nan")]},
                     {"peaks": {"prominence_db": float("nan")},
-                     "ssi": {"freq_rel": float("nan")}}):
+                     "ssi": {"freq_rel": float("nan")}},
+                    {"runs": 1, "noise_levels": [0.5], "methods": ["SSI"],
+                     "beams": [{"beam_id": "CF", "support": "CF", "duration": 1.0}],
+                     "ssi": {"orders": [2, 4, 200]}}):
             bad_cfg.write_text(json.dumps(doc))
             assert run_cli(["bench", "--config", str(bad_cfg)]) == 2, doc
         err = capsys.readouterr().err
@@ -128,6 +132,7 @@ class TestExitCodes:
         assert "orders must be distinct" in err
         assert "noise levels must be distinct" in err
         assert "methods must be distinct" in err
+        assert "ssi.orders for beam CF: max order 200 exceeds" in err
         assert "n_elements must be >= 1" in err
         assert "force_band must satisfy 0 <= lo < hi <= Nyquist (5000 Hz)" in err
         assert "force_band must be a pair [lo, hi]" in err
@@ -397,6 +402,20 @@ class TestBench:
         for name in names:
             assert filecmp.cmp(outputs[0] / name, outputs[1] / name, shallow=False), name
 
+    def test_unusable_output_dir_exits_before_simulating(self, bench_out, tmp_path,
+                                                          monkeypatch, capsys):
+        """--out naming an existing file fails before any beam is simulated."""
+        _, _, cfg_path = bench_out
+
+        def simulate_beams(config):
+            raise AssertionError("simulated before checking the output directory")
+
+        monkeypatch.setattr(cli, "simulate_beams", simulate_beams)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        assert run_cli(["bench", "--config", str(cfg_path), "--out", str(taken)]) == 2
+        assert "File exists" in capsys.readouterr().err
+
     def test_missing_config_exits_two(self, tmp_path, capsys):
         assert run_cli(["bench", "--config", str(tmp_path / "none.json")]) == 2
         capsys.readouterr()
@@ -428,6 +447,30 @@ class TestReport:
         resolved = CampaignConfig.from_dict(partial).to_dict()
         assert json.loads((target / "config_resolved.json").read_text()) == resolved
         assert json.loads((target / "report.json").read_text())["config"] == resolved
+
+    def test_interrupted_rewrite_keeps_input(self, bench_out, tmp_path, monkeypatch, capsys):
+        """report with no --out rewrites its input; a write that fails
+        partway leaves the input's bytes and no temporary file behind."""
+        _, outdir, _ = bench_out
+        folder = tmp_path / "inplace"
+        folder.mkdir()
+        source = folder / "report.json"
+        original = (outdir / "report.json").read_bytes()
+        source.write_bytes(original)
+        encode = json.JSONEncoder.encode
+        calls = []
+
+        def failing_encode(self, o):
+            calls.append(o)
+            if len(calls) == 3:  # after the header: the report is partly written
+                raise OSError("disk full")
+            return encode(self, o)
+
+        monkeypatch.setattr(json.JSONEncoder, "encode", failing_encode)
+        assert run_cli(["report", "--in", str(source)]) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert source.read_bytes() == original
+        assert sorted(p.name for p in folder.iterdir()) == ["report.json"]
 
 
 class TestPublicNames:

@@ -7,17 +7,35 @@ estimators (Parseval, coherence, Hermitian structure).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omabench.dsp import (MultiChannelRecord, SpectralEstimatorOptions,
-                          band_limited_force, csd_matrix, derive_seed,
-                          gaussian_white, psd)
+                          band_limited_force, csd_matrix, derive_seed, fmt,
+                          gaussian_white, psd, write_csv)
 
 # One full-record rectangular segment: the exact, unaveraged estimate.
 SINGLE = SpectralEstimatorOptions("rectangular", 1, 0.0)
+
+
+class TestCsvWriter:
+    def test_fmt(self):
+        """Shortest round-trip decimal of the float; a dash for a missing value."""
+        assert fmt(None) == "-"
+        assert fmt(math.inf) == "inf"
+        assert fmt(-math.inf) == "-inf"
+        assert fmt(0) == "0.0"
+        assert fmt(np.float64(0.1)) == "0.1"
+        assert float(fmt(1 / 3)) == 1 / 3
+
+    def test_write_csv_header_first_newline_ends(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b"], ([fmt(x), fmt(None)] for x in (1, 2.5)))
+        assert path.read_bytes() == b"a,b\n1.0,-\n2.5,-\n"
 
 
 class TestDeriveSeed:

@@ -129,7 +129,10 @@ class TestConfig:
                         (_beam({"force_band": [1.0]}), "force_band must be a pair [lo, hi]"),
                         (_beam({"force_band": [1.2, 1.8], "duration": 1.0}),
                          "force_band contains no spectral line"),
-                        (_beam({"force_rms": 0.0}), "force_rms must be positive")]
+                        (_beam({"force_rms": 0.0}), "force_rms must be positive"),
+                        ({**_beam({"duration": 1.0}), "ssi": {"orders": [2, 4, 200]}},
+                         "ssi.orders for beam A: max order 200 exceeds "
+                         "block_rows * channels = 100")]
         for doc, message in out_of_range:
             with pytest.raises(ValueError, match=re.escape(message)):
                 CampaignConfig.from_dict(doc)
