@@ -164,7 +164,7 @@ def _cmd_bench(args) -> int:
 def _cmd_report(args) -> int:
     report = BenchmarkReport.from_json(args.infile)
     outdir = args.out or (os.path.dirname(os.path.abspath(args.infile)) or ".")
-    written = summarize_and_tables(report, outdir)
+    written = summarize_and_tables(report, outdir, simulate_beams(report.config))
     print(f"re-emitted {len(written)} files in {outdir}")
     return 0
 

@@ -284,17 +284,14 @@ class SpectralMatrix:
     Attributes
     ----------
     frequencies : ndarray
-        Grid in Hz, spacing ``df``.
+        Uniform grid in Hz.
     values : ndarray
         Complex CSD tensor with shape ``(n_freqs, l, l)``; each frequency
         slice is Hermitian.
-    df : float
-        Grid spacing in Hz (the resolution of the estimate).
     """
 
     frequencies: np.ndarray
     values: np.ndarray
-    df: float
 
     def __post_init__(self):
         f = np.asarray(self.frequencies, dtype=float)
@@ -351,8 +348,7 @@ def _segment_ffts(record: MultiChannelRecord, options: SpectralEstimatorOptions)
     scale[0] = 1.0 / (record.sample_rate * u)
     if nseg % 2 == 0:
         scale[-1] = 1.0 / (record.sample_rate * u)
-    df = record.sample_rate / nseg
-    return freqs, X, scale, df
+    return freqs, X, scale
 
 
 def psd(record: MultiChannelRecord,
@@ -368,7 +364,7 @@ def psd(record: MultiChannelRecord,
         grid recovers the corresponding channel power, exactly only when one
         rectangular segment is requested.
     """
-    freqs, X, scale, _ = _segment_ffts(record, options)
+    freqs, X, scale = _segment_ffts(record, options)
     p = np.mean(np.abs(X) ** 2, axis=0) * scale
     return freqs, p
 
@@ -380,9 +376,9 @@ def csd_matrix(record: MultiChannelRecord,
     The diagonal equals :func:`psd` of the same record and options; each
     frequency slice is Hermitian by construction.
     """
-    freqs, X, scale, df = _segment_ffts(record, options)
+    freqs, X, scale = _segment_ffts(record, options)
     # G[f, j, k] = E[X_j(f) conj(X_k(f))], averaged over segments.
     g = np.einsum("sjf,skf->fjk", X, np.conj(X)) / X.shape[0]
     g *= scale[:, None, None]
     g = 0.5 * (g + np.conj(np.transpose(g, (0, 2, 1))))
-    return SpectralMatrix(freqs, g, df)
+    return SpectralMatrix(freqs, g)

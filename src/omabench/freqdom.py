@@ -80,7 +80,6 @@ class AnpsdCurve:
 
     frequencies: np.ndarray
     values: np.ndarray
-    df: float
     excluded_channels: tuple[int, ...] = ()
 
 
@@ -157,7 +156,7 @@ def anpsd_from_densities(frequencies, densities) -> AnpsdCurve:
     norm = p[keep] / power[keep, None]
     curve = norm.mean(axis=0)
     excluded = tuple(int(i) for i in np.nonzero(~keep)[0])
-    return AnpsdCurve(f, curve, float(df), excluded)
+    return AnpsdCurve(f, curve, excluded)
 
 
 def anpsd(record: MultiChannelRecord,

@@ -138,14 +138,12 @@ class CampaignConfig:
         ids = [b.beam_id for b in self.beams]
         if len(set(ids)) != len(ids):
             raise ValueError("beam ids must be unique")
-        if self.n_modes < 1:
-            raise ValueError("n_modes must be >= 1")
-        if self.ssi.orders is not None:  # the default orders fit every beam
-            for bc in self.beams:
-                try:
-                    self.ssi.resolve_orders(assemble_model(bc.model()).n_channels)
-                except ValueError as exc:
-                    raise ValueError(f"ssi.orders for beam {bc.beam_id}: {exc}") from None
+        for bc in self.beams:  # fe_reference raises for a beam that cannot serve
+            n_channels = fe_reference(bc, self.n_modes).system.n_channels
+            try:
+                self.ssi.resolve_orders(n_channels)
+            except ValueError as exc:
+                raise ValueError(f"ssi.orders for beam {bc.beam_id}: {exc}") from None
 
     def to_dict(self) -> dict:
         return {"schema_version": SCHEMA_VERSION, **json.loads(_JSON.encode(self))}
@@ -260,7 +258,8 @@ class BeamArtifacts:
 
 
 def fe_reference(bc: BeamConfig, n_modes: int = CampaignConfig.n_modes) -> BeamArtifacts:
-    """Assemble and solve one beam and keep its lowest FE modes; no transient."""
+    """Assemble and solve one beam and keep its lowest ``n_modes`` FE modes; no
+    transient.  A beam without a measurement channel or ``n_modes`` modes raises."""
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     model = bc.model()
@@ -268,7 +267,9 @@ def fe_reference(bc: BeamConfig, n_modes: int = CampaignConfig.n_modes) -> BeamA
     if system.n_channels == 0:
         raise ValueError(f"beam {bc.beam_id} has no measurement channels")
     modal = modal_analysis(model, system)
-    n_modes = min(n_modes, modal.n_modes)
+    if modal.n_modes < n_modes:
+        raise ValueError(f"beam {bc.beam_id} has {modal.n_modes} FE modes, "
+                         f"fewer than n_modes = {n_modes}")
     return BeamArtifacts(bc, system, modal, modal.frequencies[:n_modes],
                          modal.channel_shapes(system)[:, :n_modes])
 
@@ -582,10 +583,10 @@ def run_campaign(config: CampaignConfig, jobs: int = 1,
 # ---------------------------------------------------------------------------
 # table emission
 
-def summarize_and_tables(report: BenchmarkReport, outdir,
-                         artifacts: dict | None = None) -> list[str]:
+def summarize_and_tables(report: BenchmarkReport, outdir, artifacts: dict) -> list[str]:
     """Write report.json, the campaign tables and the plot-data CSVs.
 
+    ``artifacts`` are the campaign's simulated beams (:func:`simulate_beams`).
     Frequency and mode-shape tables are taken from the worst-case run of
     each (beam, level) cell, selected by the minimum per-mode MAC of the
     first configured method (PP when present).  Returns the written paths.
@@ -604,8 +605,6 @@ def summarize_and_tables(report: BenchmarkReport, outdir,
         json.dump(config.to_dict(), fh, indent=1)
         fh.write("\n")
 
-    if artifacts is None:
-        artifacts = simulate_beams(config)
     stats = report.mac_statistics()
     methods, modes = config.methods, range(config.n_modes)
     levels = range(len(config.noise_levels))

@@ -149,7 +149,6 @@ class PoleRecord:
     """One swept pole.  ``stable`` and ``mac_prev`` compare it with the
     nearest-in-frequency pole of the previous swept order."""
 
-    order: int
     frequency: float
     damping: float
     shape: np.ndarray
@@ -270,7 +269,7 @@ def realize_modes(fact: SubspaceFactorization, order: int) -> list[PoleRecord]:
     lam = np.log(mu[upper]) / fact.dt
     w = np.hypot(lam.real, lam.imag)
     zeta = -lam.real / w
-    poles = [PoleRecord(order, float(wk / (2.0 * np.pi)), float(zk),
+    poles = [PoleRecord(float(wk / (2.0 * np.pi)), float(zk),
                         unit_normalize(align_to_real(c @ psi[:, k])))
              for k, wk, zk in zip(upper, w, zeta) if 0.0 < zk < 0.2]
     return sorted(poles, key=lambda p: p.frequency)

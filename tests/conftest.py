@@ -46,7 +46,11 @@ def noisy_record(beam_artifacts):
 
 @pytest.fixture(scope="session")
 def cf_campaign(beam_artifacts):
-    """Full clamped-free campaign: 8 levels x 20 runs x PP/FDD/SSI."""
+    """Full clamped-free campaign: 8 levels x 20 runs x PP/FDD/SSI.
+
+    Two workers halve the suite's longest build; the report does not depend
+    on ``jobs`` (acceptance 7 compares ``jobs=1`` with ``jobs=2``).
+    """
     cfg = CampaignConfig(
         beams=tuple(b for b in default_beams() if b.beam_id == "CF"),
         noise_levels=CAMPAIGN_LEVELS,
@@ -54,7 +58,7 @@ def cf_campaign(beam_artifacts):
         methods=("PP", "FDD", "SSI"),
         master_seed=MASTER_SEED,
     )
-    return run_campaign(cfg, jobs=1)
+    return run_campaign(cfg, jobs=2)
 
 
 _ACCEPTANCE_LINES: list[tuple[str, bool, str]] = []

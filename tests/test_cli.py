@@ -63,6 +63,13 @@ def cli_env(**overrides) -> dict:
     return env
 
 
+# Beams that cannot serve a campaign: no measurement channel; fewer FE modes than n_modes.
+NO_CHANNEL_CONFIG = {"runs": 1, "noise_levels": [0.5], "beams": [
+    {"beam_id": "A", "support": "CC", "n_elements": 1, "duration": 1.0}]}
+FEW_MODES_CONFIG = {"runs": 1, "noise_levels": [0.5], "n_modes": 30, "methods": ["PP"],
+                    "beams": [{"beam_id": "CF", "support": "CF", "duration": 1.0}]}
+
+
 def read_mode_table(path):
     rows = []
     with open(path) as fh:
@@ -89,7 +96,7 @@ class TestExitCodes:
         missing = str(tmp_path / "missing.csv")
         assert run_cli(["identify", "--in", missing, "--method", "pp",
                         "--beam", "CF", "--out", str(tmp_path / "o.csv")]) == 2
-        for modes in ("-3", "0"):
+        for modes in ("-3", "0", "30"):
             assert run_cli(["identify", "--in", str(cf_record_npz), "--method", "pp",
                             "--beam", "CF", "--out", str(tmp_path / "o.csv"),
                             "--modes", modes]) == 2, modes
@@ -118,7 +125,8 @@ class TestExitCodes:
                      "ssi": {"freq_rel": float("nan")}},
                     {"runs": 1, "noise_levels": [0.5], "methods": ["SSI"],
                      "beams": [{"beam_id": "CF", "support": "CF", "duration": 1.0}],
-                     "ssi": {"orders": [2, 4, 200]}}):
+                     "ssi": {"orders": [2, 4, 200]}},
+                    NO_CHANNEL_CONFIG, FEW_MODES_CONFIG):
             bad_cfg.write_text(json.dumps(doc))
             assert run_cli(["bench", "--config", str(bad_cfg)]) == 2, doc
         err = capsys.readouterr().err
@@ -138,6 +146,8 @@ class TestExitCodes:
         assert "force_band must be a pair [lo, hi]" in err
         assert "force_rms must be positive" in err
         assert "n_modes must be >= 1" in err
+        assert "beam CF has 20 FE modes, fewer than n_modes = 30" in err
+        assert "beam A has no measurement channels" in err
         assert "record CSV time column must increase" in err
         assert "record CSV time steps must be uniform" in err
         assert "config key 'noise_levels[0]' must be a finite number" in err
@@ -415,6 +425,20 @@ class TestBench:
         taken.write_text("not a directory")
         assert run_cli(["bench", "--config", str(cfg_path), "--out", str(taken)]) == 2
         assert "File exists" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", [
+        (NO_CHANNEL_CONFIG, "beam A has no measurement channels"),
+        (FEW_MODES_CONFIG, "beam CF has 20 FE modes, fewer than n_modes = 30")],
+        ids=["no_channel", "few_modes"])
+    def test_unusable_beam_exits_before_creating_out(self, doc, message, tmp_path, capsys):
+        """A beam that cannot serve the campaign fails at config load, so
+        bench writes nothing, not even the output directory."""
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "D"
+        assert run_cli(["bench", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert message in capsys.readouterr().err
 
     def test_missing_config_exits_two(self, tmp_path, capsys):
         assert run_cli(["bench", "--config", str(tmp_path / "none.json")]) == 2

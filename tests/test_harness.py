@@ -132,7 +132,11 @@ class TestConfig:
                         (_beam({"force_rms": 0.0}), "force_rms must be positive"),
                         ({**_beam({"duration": 1.0}), "ssi": {"orders": [2, 4, 200]}},
                          "ssi.orders for beam A: max order 200 exceeds "
-                         "block_rows * channels = 100")]
+                         "block_rows * channels = 100"),
+                        ({"beams": [{"beam_id": "A", "support": "CC", "n_elements": 1}]},
+                         "beam A has no measurement channels"),
+                        ({**_beam({"duration": 1.0}), "n_modes": 30},
+                         "beam A has 20 FE modes, fewer than n_modes = 30")]
         for doc, message in out_of_range:
             with pytest.raises(ValueError, match=re.escape(message)):
                 CampaignConfig.from_dict(doc)
