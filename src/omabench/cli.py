@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -103,7 +102,7 @@ def _build_parser() -> _Parser:
 def _cmd_simulate(args) -> int:
     bc = BeamConfig(args.beam, args.beam, n_elements=args.elements,
                     dt=args.dt, duration=args.duration)
-    art = simulate_beam(bc, args.seed)
+    art = simulate_beam(bc, args.seed, n_modes=1)  # a record needs a channel, not n_modes modes
     _save_record(art.clean_record, args.out)
     rec = art.clean_record
     print(f"wrote {args.out}: {rec.n_channels} channels x {rec.n_samples} samples "
@@ -130,9 +129,11 @@ def _cmd_corrupt(args) -> int:
 def _cmd_identify(args) -> int:
     """Score a record as a campaign cell is scored, with the campaign settings."""
     record = _load_record(args.infile)
-    art = fe_reference(BeamConfig(args.beam, args.beam), args.modes)
     method = args.method.upper()
-    result = identify_record(record, art, replace(CampaignConfig(), methods=(method,)))[method]
+    config = CampaignConfig(beams=(BeamConfig(args.beam, args.beam),), n_modes=args.modes,
+                            methods=(method,))
+    art = fe_reference(config.beams[0], config.n_modes)
+    result = identify_record(record, art, config)[method]
     if result.failed:
         raise ValueError(result.notes[0].removeprefix("failed: "))
     write_csv(args.out, ["mode", "reference_hz", "frequency_hz", "rel_err_pct", "mac"],
@@ -148,9 +149,10 @@ def _cmd_identify(args) -> int:
 def _cmd_bench(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    overrides = {"runs": args.runs, "output_dir": args.out}
-    config = replace(CampaignConfig.from_dict(doc),
-                     **{k: v for k, v in overrides.items() if v is not None})
+    if isinstance(doc, dict):  # the flags set their config keys, checked like them
+        doc.update((k, v) for k, v in (("runs", args.runs), ("output_dir", args.out))
+                   if v is not None)
+    config = CampaignConfig.from_dict(doc)
     os.makedirs(config.output_dir, exist_ok=True)  # fail before the campaign, not after
     artifacts = simulate_beams(config)
     report = run_campaign(config, jobs=resolve_jobs(args.jobs), artifacts=artifacts)

@@ -15,7 +15,7 @@ import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cache, cached_property
 
 import numpy as np
@@ -161,9 +161,7 @@ class CampaignConfig:
         version = doc.pop("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema_version {version}")
-        if isinstance(doc.get("beams"), list):
-            doc["beams"] = [_beam_from_json(b, f"beams[{i}].") for i, b in enumerate(doc["beams"])]
-        return _merge(cls(), doc)
+        return _build(cls, doc)
 
 
 @cache
@@ -196,53 +194,48 @@ _JSON_KINDS = {
 }
 
 
-def _check_json_type(annotation: str, value, where: str) -> None:
-    """Raise ``ValueError`` unless ``value`` is JSON of the annotated field type.
+# Config sections by annotation: each builds from a JSON object of its fields.
+_SECTIONS = {cls.__name__: cls for cls in (PairingOptions, SpectralEstimatorOptions,
+                                           PeakOptions, SsiOptions, BeamConfig)}
 
-    A ``tuple[X, ...]`` field takes a list, whose items are checked when X
-    is a kind above; a ``T | None`` field also takes null.
+
+def _from_json(annotation: str, value, where: str):
+    """The value of a field annotated ``annotation`` from its JSON ``value``.
+
+    A section builds from an object and a ``tuple[X, ...]`` from a list of
+    X; scalars of a kind above must be JSON of that kind, and a ``T | None``
+    field also takes null.  Errors name the field by its path ``where``.
     """
     if value is None and annotation.endswith(" | None"):
-        return
+        return None
     kind, _, items = annotation.removesuffix(" | None").partition("[")
+    if kind in _SECTIONS:
+        return _build(_SECTIONS[kind], _object(value, where), where + ".")
     if kind == "tuple":
         if not isinstance(value, list):
             raise ValueError(f"config key {where!r} must be a list")
         item_kind = items.split(",")[0]
-        if item_kind in _JSON_KINDS:
-            for i, item in enumerate(value):
-                _check_json_type(item_kind, item, f"{where}[{i}]")
-    elif kind in _JSON_KINDS and not _JSON_KINDS[kind][1](value):
+        return tuple(_from_json(item_kind, item, f"{where}[{i}]")
+                     for i, item in enumerate(value))
+    if kind in _JSON_KINDS and not _JSON_KINDS[kind][1](value):
         raise ValueError(f"config key {where!r} must be {_JSON_KINDS[kind][0]}")
+    return value
 
 
-def _merge(base, doc: dict, where: str = ""):
-    """``base`` with the fields named in ``doc`` replaced by their JSON values.
+def _build(cls, doc: dict, where: str = ""):
+    """``cls`` built once from the fields named in ``doc`` and its defaults.
 
-    Dataclass fields merge recursively, so a partial section keeps the rest
-    of ``base``; lists become tuples; a key that names no field, or a value
-    of the wrong JSON type, is an error.  Errors name a field by its path
-    after ``where``.
+    A key that names no field is an error.  A required field that ``doc``
+    leaves out reaches ``cls`` as ``""``, which its own check rejects.
     """
-    annotations = {f.name: f.type for f in fields(base)}
-    changes = {}
+    annotations = {f.name: f.type for f in fields(cls)}
+    values = {f.name: "" for f in fields(cls)
+              if f.default is MISSING and f.default_factory is MISSING}
     for key, value in doc.items():
         if key not in annotations:
             raise ValueError(f"unknown config key {where + key!r}")
-        current = getattr(base, key)
-        path = where + key
-        if is_dataclass(current):
-            value = _merge(current, _object(value, path), path + ".")
-        else:
-            _check_json_type(annotations[key], value, path)
-        changes[key] = tuple(value) if isinstance(value, list) else value
-    return replace(base, **changes)
-
-
-def _beam_from_json(doc, where: str) -> BeamConfig:
-    """A beam merged over the defaults; ``beam_id`` and ``support`` are required."""
-    doc = _object(doc, where[:-1])
-    return _merge(BeamConfig(doc.get("beam_id", ""), doc.get("support", "")), doc, where)
+        values[key] = _from_json(annotations[key], value, where + key)
+    return cls(**values)
 
 
 @dataclass(frozen=True)

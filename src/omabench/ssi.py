@@ -332,26 +332,21 @@ def _merge_duplicate_shapes(selected: list[IdentifiedMode], sizes: list[int],
     return [m for k, m in zip(keep, selected) if k]
 
 
-def stabilization(fact: SubspaceFactorization, orders,
+def stabilization(fact: SubspaceFactorization,
                   options: SsiOptions = SsiOptions()) -> StabilizationDiagram:
-    """Sweep model orders and cluster the stable poles into modes.
+    """Sweep the model orders of ``options`` and cluster the stable poles into modes.
 
-    A pole is stable when, against the nearest-in-frequency pole of the
-    previous swept order, the frequency moves at most ``freq_rel``, the
+    The orders are ``options.resolve_orders(fact.n_channels)``, which checks
+    them.  A pole is stable when, against the nearest-in-frequency pole of
+    the previous swept order, the frequency moves at most ``freq_rel``, the
     damping at most ``damping_abs`` (absolute) and the shape MAC reaches
     ``mac_min``.  Stable poles are clustered by relative frequency gaps; a
     cluster needs ``min_cluster_size`` members and reports its median
     frequency and damping with the shape of its highest-MAC pole.  Orders
-    must be distinct.  Orders above the projection rank all realize the
-    rank-order model, so it is swept once and the truncation is noted.
+    above the projection rank all realize the rank-order model, so it is
+    swept once and the truncation is noted.
     """
-    orders = sorted(int(o) for o in orders)
-    if not orders:
-        raise ValueError("at least one model order is required")
-    if len(set(orders)) != len(orders):
-        raise ValueError("model orders must be distinct")
-    if orders[0] < 1 or orders[-1] > fact.max_order:
-        raise ValueError("order out of range for this factorization")
+    orders = sorted(options.resolve_orders(fact.n_channels))
     realized = sorted({min(o, fact.rank) for o in orders})
     notes = []
     if len(realized) == 1:
@@ -394,7 +389,7 @@ def ssi_identify(record: MultiChannelRecord,
     :func:`stabilization`; ``shape_at`` of the result reads its nearest pole.
     """
     fact = build_hankel(record, options)
-    diagram = stabilization(fact, options.resolve_orders(record.n_channels), options)
+    diagram = stabilization(fact, options)
     selected, notes = clip_to_passband(diagram.selected, diagram.notes,
                                        record.sample_rate, options)
     return IdentifiedModeSet(selected, notes, lambda f, window: (

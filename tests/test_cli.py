@@ -19,6 +19,7 @@ import pytest
 
 from omabench import cli
 from omabench.cli import DEFAULT_SEED, resolve_jobs, run_cli
+from omabench.beam import modal_analysis
 from omabench.dsp import MultiChannelRecord
 from omabench.harness import CampaignConfig, DEFAULT_NOISE_LEVELS, run_single
 
@@ -68,6 +69,9 @@ NO_CHANNEL_CONFIG = {"runs": 1, "noise_levels": [0.5], "beams": [
     {"beam_id": "A", "support": "CC", "n_elements": 1, "duration": 1.0}]}
 FEW_MODES_CONFIG = {"runs": 1, "noise_levels": [0.5], "n_modes": 30, "methods": ["PP"],
                     "beams": [{"beam_id": "CF", "support": "CF", "duration": 1.0}]}
+TWO_BEAM_CONFIG = {"runs": 1, "noise_levels": [0.5], "methods": ["PP"], "beams": [
+    {"beam_id": "CF", "support": "CF", "duration": 1.0},
+    {"beam_id": "SS", "support": "SS", "duration": 1.0}]}
 
 
 def read_mode_table(path):
@@ -129,7 +133,10 @@ class TestExitCodes:
                     NO_CHANNEL_CONFIG, FEW_MODES_CONFIG):
             bad_cfg.write_text(json.dumps(doc))
             assert run_cli(["bench", "--config", str(bad_cfg)]) == 2, doc
+        bad_cfg.write_text(json.dumps({}))
+        assert run_cli(["bench", "--config", str(bad_cfg), "--runs", "0"]) == 2
         err = capsys.readouterr().err
+        assert "runs must be >= 1" in err
         assert "unknown config key 'runz'" in err
         assert "unknown config key 'beams[0].spam'" in err
         assert "config key 'runs' must be an integer" in err
@@ -190,6 +197,19 @@ class TestSimulate:
         assert rec.n_channels == 9
         assert rec.sample_rate == 10000.0
         capsys.readouterr()
+
+    def test_needs_a_channel_not_n_modes_modes(self, tmp_path, capsys):
+        """A record needs a measurement channel only: a 1- or 2-element CF
+        beam, with 2 or 4 FE modes, simulates; a 1-element CC beam has no
+        free vertical DOF and fails."""
+        for elements, channels in (("1", 1), ("2", 2)):
+            out = tmp_path / f"e{elements}.npz"
+            assert run_cli(["simulate", "--beam", "CF", "--elements", elements,
+                            "--duration", "0.2", "--out", str(out)]) == 0
+            assert MultiChannelRecord.from_npz(out).n_channels == channels
+        assert run_cli(["simulate", "--beam", "CC", "--elements", "1",
+                        "--duration", "0.2", "--out", str(tmp_path / "cc.npz")]) == 2
+        assert "beam CC has no measurement channels" in capsys.readouterr().err
 
 
 class TestCorrupt:
@@ -495,6 +515,36 @@ class TestReport:
         assert "disk full" in capsys.readouterr().err
         assert source.read_bytes() == original
         assert sorted(p.name for p in folder.iterdir()) == ["report.json"]
+
+
+class TestFeSolves:
+    def test_each_beam_solved_once_per_use(self, tmp_path, monkeypatch, capsys):
+        """A command solves the FE model of each beam its config names once
+        at load and once more per use: bench and report load and simulate
+        two beams, identify loads one beam and takes its reference."""
+        solves = []
+
+        def counted(*args):
+            solves.append(args)
+            return modal_analysis(*args)
+
+        monkeypatch.setattr("omabench.harness.modal_analysis", counted)
+        config = tmp_path / "two.json"
+        config.write_text(json.dumps(TWO_BEAM_CONFIG))
+
+        def count(*argv):
+            solves.clear()
+            assert run_cli(list(argv)) == 0
+            return len(solves)
+
+        bench, report = tmp_path / "bench", tmp_path / "report"
+        record, modes = tmp_path / "cf.npz", tmp_path / "modes.csv"
+        assert count("bench", "--config", str(config), "--out", str(bench), "--jobs", "1") == 4
+        assert count("report", "--in", str(bench / "report.json"), "--out", str(report)) == 4
+        assert count("simulate", "--beam", "CF", "--duration", "1.0", "--out", str(record)) == 1
+        assert count("identify", "--in", str(record), "--method", "pp", "--beam", "CF",
+                     "--out", str(modes)) == 2
+        capsys.readouterr()
 
 
 class TestPublicNames:
