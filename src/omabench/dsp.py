@@ -281,39 +281,59 @@ class SpectralEstimatorOptions:
 class SpectralMatrix:
     """One-sided cross-spectral density matrix on a uniform frequency grid.
 
+    The auto-spectra cover the whole grid; the cross-spectra may cover only
+    its first lines, the ones the identifiers read (see :func:`csd_matrix`).
+
     Attributes
     ----------
     frequencies : ndarray
-        Uniform grid in Hz.
+        Uniform grid in Hz, ``n_freqs`` lines.
     values : ndarray
-        Complex CSD tensor with shape ``(n_freqs, l, l)``; each frequency
-        slice is Hermitian.
+        Complex CSD tensor of the first ``n_lines <= n_freqs`` lines, shape
+        ``(n_lines, l, l)``; each line is Hermitian.
+    auto_spectra : ndarray
+        Real auto-spectra on the whole grid, shape ``(l, n_freqs)``.
     """
 
     frequencies: np.ndarray
     values: np.ndarray
+    auto_spectra: np.ndarray
 
     def __post_init__(self):
         f = np.asarray(self.frequencies, dtype=float)
         g = np.asarray(self.values, dtype=complex)
-        if g.ndim != 3 or g.shape[1] != g.shape[2] or g.shape[0] != f.size:
-            raise ValueError("values must have shape (n_freqs, l, l)")
+        if g.ndim != 3 or g.shape[1] != g.shape[2] or not 1 <= g.shape[0] <= f.size:
+            raise ValueError("values must have shape (n_lines, l, l) with "
+                             "1 <= n_lines <= n_freqs")
+        auto = np.asarray(self.auto_spectra, dtype=float)
+        if auto.shape != (g.shape[1], f.size):
+            raise ValueError("auto_spectra must have shape (l, n_freqs)")
         herm = np.max(np.abs(g - np.conj(np.transpose(g, (0, 2, 1)))))
         scale = max(np.max(np.abs(g)), 1.0)
         if herm > 1e-10 * scale:
             raise ValueError("spectral matrix is not Hermitian")
-        f.setflags(write=False)
-        g.setflags(write=False)
+        for arr in (f, g, auto):
+            arr.setflags(write=False)
         object.__setattr__(self, "frequencies", f)
         object.__setattr__(self, "values", g)
+        object.__setattr__(self, "auto_spectra", auto)
 
     @property
     def n_channels(self) -> int:
         return self.values.shape[1]
 
-    def diagonal(self) -> np.ndarray:
-        """Auto-spectra, shape ``(n_channels, n_freqs)``, real."""
-        return np.real(np.einsum("fii->if", self.values))
+    def lines(self, lo: int, hi: int) -> np.ndarray:
+        """Cross-spectra of grid lines ``lo:hi``, with ``hi`` clipped to the grid.
+
+        Raises ``ValueError`` naming the highest requested line when it lies
+        beyond the stored ones.
+        """
+        hi = min(hi, self.frequencies.size)
+        if hi > self.values.shape[0]:
+            raise ValueError(f"CSD line {hi - 1} ({self.frequencies[hi - 1]:g} Hz) lies "
+                             f"beyond the {self.values.shape[0]} stored cross-spectrum "
+                             "lines; estimate the matrix with a higher f_max")
+        return self.values[lo:hi]
 
 
 def _segment_plan(n_samples: int, options: SpectralEstimatorOptions) -> tuple[int, list[int]]:
@@ -370,15 +390,23 @@ def psd(record: MultiChannelRecord,
 
 
 def csd_matrix(record: MultiChannelRecord,
-               options: SpectralEstimatorOptions = SpectralEstimatorOptions()) -> SpectralMatrix:
-    """Estimate the full one-sided cross-spectral density matrix.
+               options: SpectralEstimatorOptions = SpectralEstimatorOptions(),
+               f_max: float = np.inf) -> SpectralMatrix:
+    """Estimate the one-sided cross-spectral density matrix up to ``f_max``.
 
-    The diagonal equals :func:`psd` of the same record and options; each
-    frequency slice is Hermitian by construction.
+    The auto-spectra cover the whole grid and equal :func:`psd` of the same
+    record and options up to rounding.  The cross-spectra are stored on
+    lines ``0`` through one past the first line at or above ``f_max`` (the
+    whole grid for the default); each stored line is Hermitian by
+    construction.  Every stored number equals the whole-grid estimate's.
     """
     freqs, X, scale = _segment_ffts(record, options)
+    n = min(int(np.searchsorted(freqs, f_max)) + 2, freqs.size)
+    xc = np.conj(X)
     # G[f, j, k] = E[X_j(f) conj(X_k(f))], averaged over segments.
-    g = np.einsum("sjf,skf->fjk", X, np.conj(X)) / X.shape[0]
-    g *= scale[:, None, None]
+    g = np.einsum("sjf,skf->fjk", X[..., :n], xc[..., :n]) / X.shape[0]
+    g *= scale[:n, None, None]
     g = 0.5 * (g + np.conj(np.transpose(g, (0, 2, 1))))
-    return SpectralMatrix(freqs, g)
+    # Rounds as the diagonal of g does: the real part is taken last.
+    auto = np.real(np.einsum("sjf,sjf->fj", X, xc) / X.shape[0] * scale[:, None]).T
+    return SpectralMatrix(freqs, g, auto)

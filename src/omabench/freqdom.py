@@ -115,10 +115,13 @@ class IdentifiedModeSet:
 
 
 def unit_normalize(shape: np.ndarray) -> np.ndarray:
-    """Scale a real shape so its largest-magnitude entry equals +1."""
+    """Scale a real shape so its largest-magnitude entry equals +1.
+
+    Acts along the last axis, so a stack of shapes is normalized row by row.
+    """
     v = np.asarray(shape, dtype=float)
-    pivot = v[np.argmax(np.abs(v))]
-    if pivot == 0.0:
+    pivot = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., None], axis=-1)
+    if np.any(pivot == 0.0):
         raise ValueError("cannot normalize a zero shape")
     return v / pivot
 
@@ -127,15 +130,15 @@ def align_to_real(u: np.ndarray) -> np.ndarray:
     """Rotate a complex vector to its dominant-real alignment, return real part.
 
     The rotation angle maximizes the norm of the real part; the result keeps
-    the relative signs of the entries of a proportionally damped mode.
+    the relative signs of the entries of a proportionally damped mode.  A
+    vector whose rotated real part vanishes gives its magnitudes instead.
+    Acts along the last axis, so a stack of vectors is aligned row by row.
     """
     u = np.asarray(u, dtype=complex)
-    z = np.sum(u * u)
-    alpha = 0.5 * np.angle(z) if z != 0 else 0.0
+    z = np.sum(u * u, axis=-1, keepdims=True)
+    alpha = 0.5 * np.angle(np.where(z != 0, z, 1.0))
     v = np.real(u * np.exp(-1j * alpha))
-    if np.max(np.abs(v)) == 0.0:
-        v = np.abs(u)
-    return v
+    return np.where(np.max(np.abs(v), axis=-1, keepdims=True) == 0.0, np.abs(u), v)
 
 
 def anpsd_from_densities(frequencies, densities) -> AnpsdCurve:
@@ -189,12 +192,17 @@ def pick_peaks(frequencies, values, options: PeakOptions = PeakOptions()) -> lis
     inner = sel[(sel > 0) & (sel < f.size - 1)]
     is_max = (v[inner] > v[inner - 1]) & (v[inner] >= v[inner + 1]) & (v[inner] >= floor)
     candidates = inner[is_max]
-    # Strongest-first thinning at the minimum separation.
+    # Strongest-first thinning at the minimum separation: each kept peak
+    # rules out every candidate closer to it than min_separation_hz.
     order = candidates[np.argsort(v[candidates])[::-1]]
+    fo = f[order]
+    free = np.ones(order.size, dtype=bool)
     kept: list[int] = []
-    for idx in order:
-        if all(abs(f[idx] - f[j]) >= options.min_separation_hz for j in kept):
-            kept.append(int(idx))
+    while free.any():
+        i = int(np.argmax(free))
+        kept.append(int(order[i]))
+        free &= np.abs(fo - fo[i]) >= options.min_separation_hz
+        free[i] = False  # a zero separation rules nothing out
     peaks = []
     df = f[1] - f[0]
     for idx in sorted(kept):
@@ -214,8 +222,7 @@ def _band_power_reference(spectral: SpectralMatrix, band: tuple[float, float]) -
     """Index of the channel with the largest total power inside the band."""
     f = spectral.frequencies
     sel = (f >= band[0]) & (f <= band[1])
-    diag = spectral.diagonal()
-    power = diag[:, sel].sum(axis=1)
+    power = spectral.auto_spectra[:, sel].sum(axis=1)
     return int(np.argmax(power))
 
 
@@ -228,7 +235,7 @@ def pp_shape_at(spectral: SpectralMatrix, reference_channel: int,
     when the reference auto-spectrum vanishes at that bin.
     """
     b = _nearest_bin(spectral.frequencies, frequency)
-    g = spectral.values[b]
+    g = spectral.lines(b, b + 1)[0]
     grr = g[reference_channel, reference_channel].real
     if grr <= 0.0:
         return None
@@ -252,7 +259,7 @@ def pp_identify(g: SpectralMatrix, peaks: PeakOptions = PeakOptions(),
         Channel index for shape extraction; defaults to the channel with the
         largest total power inside the search band.
     """
-    curve = anpsd_from_densities(g.frequencies, g.diagonal())
+    curve = anpsd_from_densities(g.frequencies, g.auto_spectra)
     found = pick_peaks(curve.frequencies, curve.values, peaks)
     ref = reference_channel if reference_channel is not None \
         else _band_power_reference(g, peaks.band)
@@ -280,7 +287,7 @@ def _first_singular_values(values: np.ndarray) -> np.ndarray:
 def fdd_shape_at(spectral: SpectralMatrix, frequency: float) -> np.ndarray:
     """First singular vector at the bin nearest ``frequency``, made real."""
     b = _nearest_bin(spectral.frequencies, frequency)
-    _, vecs = np.linalg.eigh(spectral.values[b])
+    _, vecs = np.linalg.eigh(spectral.lines(b, b + 1)[0])
     return unit_normalize(align_to_real(vecs[:, -1]))
 
 
@@ -298,7 +305,7 @@ def fdd_identify(g: SpectralMatrix, peaks: PeakOptions = PeakOptions()) -> Ident
     s1 = np.zeros(freqs.size)
     if sel.size:
         lo, hi = max(sel[0] - 1, 0), sel[-1] + 2
-        s1[lo:hi] = _first_singular_values(g.values[lo:hi])
+        s1[lo:hi] = _first_singular_values(g.lines(lo, hi))
     modes = tuple(IdentifiedMode(pk.frequency, fdd_shape_at(g, freqs[pk.bin_index]))
                   for pk in pick_peaks(freqs, s1, peaks))
     return IdentifiedModeSet(modes, shape_at=lambda f, _window: fdd_shape_at(g, f))

@@ -380,12 +380,15 @@ def identify_record(record: MultiChannelRecord, artifacts: BeamArtifacts,
         raise ValueError(f"record has {record.n_channels} channels but beam "
                          f"{artifacts.config.beam_id} has {n_ref}")
     ref_f = artifacts.reference_frequencies
+    # The cross-spectra PP and FDD read: the peak search band plus one line,
+    # and the line nearest each reference frequency, which shape_at reads.
+    f_max = max(config.peaks.band[1], float(ref_f.max()))
     spectral = None
     methods: dict[str, MethodResult] = {}
     for name in config.methods:
         try:
             if spectral is None and name in ("PP", "FDD"):
-                spectral = csd_matrix(record, config.estimator)
+                spectral = csd_matrix(record, config.estimator, f_max)
             mode_set = _IDENTIFIERS[name](record, config, spectral)
             methods[name] = _score_method(mode_set, ref_f, artifacts.reference_shapes, config)
         except (ValueError, np.linalg.LinAlgError) as exc:  # identifier failure: record it

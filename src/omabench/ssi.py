@@ -13,7 +13,7 @@ modes by frequency/damping/shape stability against the previous order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -25,7 +25,7 @@ from .metrics import PairingOptions, mac
 
 __all__ = [
     "SsiOptions",
-    "PoleRecord",
+    "Poles",
     "SubspaceFactorization",
     "StabilizationDiagram",
     "build_hankel",
@@ -145,32 +145,46 @@ class SubspaceFactorization:
 
 
 @dataclass(frozen=True)
-class PoleRecord:
-    """One swept pole.  ``stable`` and ``mac_prev`` compare it with the
-    nearest-in-frequency pole of the previous swept order."""
+class Poles:
+    """Swept poles as arrays, one entry per pole and one row of ``shapes``
+    (real, unit-normalized) per pole.
 
-    frequency: float
-    damping: float
-    shape: np.ndarray
-    stable: bool = False
-    mac_prev: float = 0.0
+    ``stable`` and ``mac_prev`` compare each pole with the
+    nearest-in-frequency pole of the previous swept order; a freshly
+    realized order has them ``False`` and ``0.0``.
+    """
+
+    frequency: np.ndarray
+    damping: np.ndarray
+    shapes: np.ndarray
+    stable: np.ndarray
+    mac_prev: np.ndarray
+
+
+def _unflagged(frequency: np.ndarray, damping: np.ndarray, shapes: np.ndarray) -> Poles:
+    return Poles(frequency, damping, shapes, np.zeros(frequency.size, dtype=bool),
+                 np.zeros(frequency.size))
 
 
 @dataclass(frozen=True)
 class StabilizationDiagram:
-    """All swept poles plus the stable-cluster mode selection."""
+    """All swept poles, in sweep order, plus the stable-cluster mode selection."""
 
-    poles: tuple[PoleRecord, ...]
+    poles: Poles
     selected: tuple[IdentifiedMode, ...]
     notes: tuple[str, ...] = ()
 
-    def nearest_pole(self, frequency: float,
-                     rel_window: float = PairingOptions.f_window) -> PoleRecord | None:
-        """Closest swept pole within a relative frequency window, stable first."""
-        def best_of(pool):
-            cand = [p for p in pool if abs(p.frequency - frequency) <= rel_window * frequency]
-            return min(cand, key=lambda p: abs(p.frequency - frequency)) if cand else None
-        return best_of([p for p in self.poles if p.stable]) or best_of(self.poles)
+    def nearest_shape(self, frequency: float,
+                      rel_window: float = PairingOptions.f_window) -> np.ndarray | None:
+        """Shape of the closest swept pole within a relative frequency window,
+        stable first; the first in sweep order among equally close ones."""
+        dist = np.abs(self.poles.frequency - frequency)
+        near = dist <= rel_window * frequency
+        for pool in (near & self.poles.stable, near):
+            if pool.any():
+                idx = np.flatnonzero(pool)
+                return self.poles.shapes[idx[np.argmin(dist[idx])]]
+        return None
 
 
 def _block_hankel(data: np.ndarray, n_block_rows: int) -> np.ndarray:
@@ -236,7 +250,7 @@ def build_hankel(record: MultiChannelRecord,
     return SubspaceFactorization(u, s, l, i, dt)
 
 
-def realize_modes(fact: SubspaceFactorization, order: int) -> list[PoleRecord]:
+def realize_modes(fact: SubspaceFactorization, order: int) -> Poles:
     """Realize one model order and return its physically plausible poles,
     ascending in frequency.
 
@@ -255,7 +269,7 @@ def realize_modes(fact: SubspaceFactorization, order: int) -> list[PoleRecord]:
     n = min(order, fact.rank)
     gamma = fact.u[:, :n] * np.sqrt(fact.s[:n])
     if gamma.shape[0] <= l:
-        return []
+        return _unflagged(np.zeros(0), np.zeros(0), np.zeros((0, l)))
     if n <= gamma.shape[0] - l:
         r, t = fact._shift_qr
         a = linalg.solve_triangular(r[:n, :n], t[:n, :n])
@@ -269,41 +283,41 @@ def realize_modes(fact: SubspaceFactorization, order: int) -> list[PoleRecord]:
     lam = np.log(mu[upper]) / fact.dt
     w = np.hypot(lam.real, lam.imag)
     zeta = -lam.real / w
-    poles = [PoleRecord(float(wk / (2.0 * np.pi)), float(zk),
-                        unit_normalize(align_to_real(c @ psi[:, k])))
-             for k, wk, zk in zip(upper, w, zeta) if 0.0 < zk < 0.2]
-    return sorted(poles, key=lambda p: p.frequency)
+    keep = (0.0 < zeta) & (zeta < 0.2)
+    # One matrix-vector product per pole, batched: numpy runs gemv on each,
+    # which rounds as c @ psi[:, k] does; a single gemm would not.
+    shapes = unit_normalize(align_to_real(np.matmul(c, psi.T[upper[keep], :, None])[..., 0]))
+    freq = w[keep] / (2.0 * np.pi)
+    by_f = np.argsort(freq, kind="stable")
+    return _unflagged(freq[by_f], zeta[keep][by_f], shapes[by_f])
 
 
-def _flag_poles(current: list[PoleRecord], previous: list[PoleRecord],
-                tol: SsiOptions) -> list[PoleRecord]:
-    if not previous:
+def _flag_poles(current: Poles, previous: Poles, tol: SsiOptions) -> Poles:
+    if not previous.frequency.size or not current.frequency.size:
         return current
-    prev_f = np.array([p.frequency for p in previous])
-    flagged = []
-    for pole in current:
-        prev = previous[int(np.argmin(np.abs(prev_f - pole.frequency)))]
-        m = mac(pole.shape, prev.shape)
-        stable = (abs(pole.frequency - prev.frequency) / prev.frequency <= tol.freq_rel
-                  and abs(pole.damping - prev.damping) <= tol.damping_abs
-                  and m >= tol.mac_min)
-        flagged.append(replace(pole, stable=stable, mac_prev=m))
-    return flagged
+    near = np.argmin(np.abs(previous.frequency - current.frequency[:, None]), axis=1)
+    prev_f, prev_d = previous.frequency[near], previous.damping[near]
+    m = mac(current.shapes, previous.shapes[near])
+    stable = ((np.abs(current.frequency - prev_f) / prev_f <= tol.freq_rel)
+              & (np.abs(current.damping - prev_d) <= tol.damping_abs)
+              & (m >= tol.mac_min))
+    return Poles(current.frequency, current.damping, current.shapes, stable, m)
 
 
-def _cluster_stable(stable: list[PoleRecord], tol: SsiOptions):
+def _cluster_stable(poles: Poles, tol: SsiOptions):
     """Group stable poles by relative frequency gaps and select modes."""
-    stable = sorted(stable, key=lambda p: p.frequency)
-    f = np.array([p.frequency for p in stable])
+    idx = np.flatnonzero(poles.stable)
+    idx = idx[np.argsort(poles.frequency[idx], kind="stable")]
+    f = poles.frequency[idx]
     cuts = list(np.flatnonzero(np.diff(f) > tol.freq_rel * f[:-1]) + 1)
     selected, sizes = [], []
-    for lo, hi in zip([0] + cuts, cuts + [len(stable)]):
-        cluster = stable[lo:hi]
-        if len(cluster) >= tol.min_cluster_size:
-            best = max(cluster, key=lambda p: p.mac_prev)
-            selected.append(IdentifiedMode(float(np.median(f[lo:hi])), best.shape,
-                                           float(np.median([p.damping for p in cluster]))))
-            sizes.append(len(cluster))
+    for lo, hi in zip([0] + cuts, cuts + [idx.size]):
+        cluster = idx[lo:hi]
+        if cluster.size >= tol.min_cluster_size:
+            best = cluster[np.argmax(poles.mac_prev[cluster])]
+            selected.append(IdentifiedMode(float(np.median(f[lo:hi])), poles.shapes[best],
+                                           float(np.median(poles.damping[cluster]))))
+            sizes.append(cluster.size)
     return tuple(_merge_duplicate_shapes(selected, sizes, tol))
 
 
@@ -354,14 +368,11 @@ def stabilization(fact: SubspaceFactorization,
     if orders[-1] > fact.rank:
         notes.append(f"projection rank {fact.rank} below model order {orders[-1]}; "
                      "higher orders truncated")
-    poles: list[PoleRecord] = []
-    previous: list[PoleRecord] = []
-    for order in realized:
-        previous = _flag_poles(realize_modes(fact, order), previous, options)
-        poles.extend(previous)
-    return StabilizationDiagram(tuple(poles),
-                                _cluster_stable([p for p in poles if p.stable], options),
-                                tuple(notes))
+    swept = [realize_modes(fact, realized[0])]
+    for order in realized[1:]:
+        swept.append(_flag_poles(realize_modes(fact, order), swept[-1], options))
+    poles = Poles(*(np.concatenate([getattr(p, f.name) for p in swept]) for f in fields(Poles)))
+    return StabilizationDiagram(poles, _cluster_stable(poles, options), tuple(notes))
 
 
 def clip_to_passband(selected, notes, sample_rate: float,
@@ -392,5 +403,4 @@ def ssi_identify(record: MultiChannelRecord,
     diagram = stabilization(fact, options)
     selected, notes = clip_to_passband(diagram.selected, diagram.notes,
                                        record.sample_rate, options)
-    return IdentifiedModeSet(selected, notes, lambda f, window: (
-        p.shape if (p := diagram.nearest_pole(f, window)) is not None else None))
+    return IdentifiedModeSet(selected, notes, diagram.nearest_shape)

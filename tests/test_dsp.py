@@ -283,7 +283,7 @@ class TestCsdMatrix:
         opts = SpectralEstimatorOptions("hann", 4, 0.5)
         G = csd_matrix(rec, opts)
         _, dens = psd(rec, opts)
-        np.testing.assert_allclose(G.diagonal(), dens, rtol=1e-9, atol=1e-300)
+        np.testing.assert_allclose(G.auto_spectra, dens, rtol=1e-9, atol=1e-300)
 
     def test_duplicated_channel_full_coherence(self):
         x = gaussian_white(4096, 6)
@@ -307,6 +307,25 @@ class TestCsdMatrix:
         G = csd_matrix(rec, SpectralEstimatorOptions("hann", 4, 0.5))
         herm = np.max(np.abs(G.values - np.conj(np.transpose(G.values, (0, 2, 1)))))
         assert herm <= 1e-10 * np.max(np.abs(G.values))
+
+    @pytest.mark.parametrize("n_samples", [20001, 19996])
+    @pytest.mark.parametrize("opts", [SpectralEstimatorOptions(), SINGLE],
+                             ids=["campaign", "single"])
+    def test_band_estimate_equals_whole_grid(self, noisy_record, opts, n_samples):
+        """The cross-spectra stored up to f_max and the whole-grid
+        auto-spectra equal the whole-grid estimate bit for bit, its tensor
+        diagonal included.  The two lengths give each estimator an odd and
+        an even segment length."""
+        rec = noisy_record("CF", 0.5)
+        rec = MultiChannelRecord(rec.sample_rate, rec.data[:, :n_samples], rec.labels)
+        full = csd_matrix(rec, opts)
+        band = csd_matrix(rec, opts, f_max=300.0)
+        n = int(np.searchsorted(full.frequencies, 300.0)) + 2
+        assert band.values.shape == (n, 10, 10) and n < full.frequencies.size
+        assert np.array_equal(band.frequencies, full.frequencies)
+        assert np.array_equal(band.values, full.values[:n])
+        assert np.array_equal(full.auto_spectra, np.real(np.einsum("fii->if", full.values)))
+        assert np.array_equal(band.auto_spectra, full.auto_spectra)
 
     def test_positive_semidefinite_when_averaged(self):
         """With segments >= channels every line is PSD within -1e-9."""

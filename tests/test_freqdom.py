@@ -14,7 +14,8 @@ from omabench.dsp import (MultiChannelRecord, SpectralEstimatorOptions,
                           SpectralMatrix, csd_matrix, gaussian_white, psd)
 from omabench.freqdom import (PeakOptions, _first_singular_values, align_to_real,
                               anpsd, anpsd_from_densities, fdd_identify, fdd_shape_at,
-                              pick_peaks, pp_identify, unit_normalize, write_curve_csv)
+                              pick_peaks, pp_identify, pp_shape_at, unit_normalize,
+                              write_curve_csv)
 from omabench.harness import CampaignConfig
 from omabench.metrics import mac, pair_to_reference
 
@@ -50,6 +51,26 @@ class TestShapeHelpers:
     def test_align_to_real_pure_imaginary(self):
         w = align_to_real(np.array([1j, -1j]))
         assert mac(w, [1.0, -1.0]) == pytest.approx(1.0, abs=1e-12)
+
+
+    def test_row_wise_equals_vector_calls(self):
+        """Stacks are aligned, normalized and MAC-scored row by row, each row
+        bit-identical to the one-vector call; a zero row still raises."""
+        rng = np.random.default_rng(11)
+        u = rng.standard_normal((50, 10)) + 1j * rng.standard_normal((50, 10))
+        u[7] = 0.0
+        rows = align_to_real(u)
+        for got, x in zip(rows, u):
+            np.testing.assert_array_equal(got, align_to_real(x))
+        with pytest.raises(ValueError, match="zero shape"):
+            unit_normalize(rows)
+        with pytest.raises(ValueError, match="nonzero"):
+            mac(rows, rows[0])
+        rows = np.delete(rows, 7, axis=0)
+        shapes = unit_normalize(rows)
+        for got, x in zip(shapes, rows):
+            np.testing.assert_array_equal(got, unit_normalize(x))
+        assert mac(shapes, rows[::-1]).tolist() == [mac(a, b) for a, b in zip(shapes, rows[::-1])]
 
 
 class TestAnpsd:
@@ -175,6 +196,35 @@ class TestPickPeaks:
             PeakOptions(band=(10.0, 10.0))
 
 
+    @pytest.mark.parametrize("separation", [0.0, 2.0, 25.0])
+    @pytest.mark.parametrize("level", [0.0, 0.5, 2.0])
+    def test_thinning_matches_candidate_loop(self, noisy_record, level, separation):
+        """On the campaign ANPSD and first-singular-value curves the kept
+        peaks are those of thinning one candidate at a time."""
+        g = csd_matrix(noisy_record("CF", level), CAMPAIGN.estimator)
+        peaks = PeakOptions(CAMPAIGN.peaks.prominence_db, separation, CAMPAIGN.peaks.band)
+        f = g.frequencies
+        for v in (anpsd_from_densities(f, g.auto_spectra).values,
+                  _first_singular_values(g.values)):
+            got = [pk.bin_index for pk in pick_peaks(f, v, peaks)]
+            assert got == _thinned_by_loop(f, v, peaks)
+
+
+def _thinned_by_loop(f, v, options):
+    """Oracle: the bins pick_peaks keeps, strongest candidate first, each
+    tested against every peak kept before it."""
+    lo, hi = options.band
+    sel = np.nonzero((f >= lo) & (f <= hi))[0]
+    floor = np.median(v[sel]) * 10.0 ** (options.prominence_db / 10.0)
+    inner = sel[(sel > 0) & (sel < f.size - 1)]
+    cand = inner[(v[inner] > v[inner - 1]) & (v[inner] >= v[inner + 1]) & (v[inner] >= floor)]
+    kept: list[int] = []
+    for idx in cand[np.argsort(v[cand])[::-1]]:
+        if all(abs(f[idx] - f[j]) >= options.min_separation_hz for j in kept):
+            kept.append(int(idx))
+    return sorted(kept)
+
+
 class TestAnpsdPeaksUnderNoise:
     """Peak survival on the averaged ANPSD at the harshest noise level."""
 
@@ -275,7 +325,7 @@ class TestFddIdentify:
         s = 1.0 / (1.0 + ((f - 40.0) / 5.0) ** 2)
         phi = np.array([1.0, -0.5, 0.25])
         g = s[:, None, None] * np.einsum("j,k->jk", phi, phi)[None, :, :]
-        return SpectralMatrix(f, g.astype(complex)), s, phi
+        return SpectralMatrix(f, g.astype(complex), np.real(np.einsum("fii->if", g))), s, phi
 
     def test_rank_one_singular_curve(self):
         G, s, phi = self._rank_one()
@@ -327,6 +377,19 @@ class TestFddIdentify:
         for mode, (f, shape) in zip(mode_set.modes, expected):
             assert mode.frequency == f
             np.testing.assert_array_equal(mode.shape, shape)
+
+
+    def test_read_past_stored_lines_raises(self, noisy_record):
+        """A matrix stored to 300 Hz names the line a read beyond it asks for."""
+        g = csd_matrix(noisy_record("CF", 0.5), CAMPAIGN.estimator, f_max=300.0)
+        with pytest.raises(ValueError, match=r"CSD line 500 \(500 Hz\)"):
+            pp_shape_at(g, 0, 500.0)
+        with pytest.raises(ValueError, match=r"CSD line 500 \(500 Hz\)"):
+            fdd_shape_at(g, 500.0)
+        with pytest.raises(ValueError, match=r"CSD line 1201 \(1201 Hz\)"):
+            fdd_identify(g, CAMPAIGN.peaks)
+        with pytest.raises(ValueError, match="CSD line"):
+            pp_identify(g, CAMPAIGN.peaks)
 
 
 class TestMethodAgreement:

@@ -18,9 +18,10 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from omabench.dsp import SpectralEstimatorOptions
+from omabench.dsp import SpectralEstimatorOptions, csd_matrix
+from omabench.freqdom import PeakOptions
 from omabench.harness import (BeamConfig, CampaignConfig, BenchmarkReport, MethodResult,
-                              ModeOutcome, default_beams, fe_reference,
+                              ModeOutcome, default_beams, fe_reference, identify_record,
                               run_campaign, run_single, summarize_and_tables)
 from omabench.metrics import PairingOptions
 from omabench.ssi import SsiOptions
@@ -239,6 +240,30 @@ class TestRunSingle:
         monkeypatch.setattr("omabench.harness.ssi_identify", broken)
         with pytest.raises(TypeError):
             run_single(cf, config, 1, 0)
+
+    @pytest.mark.parametrize("beam_id", ["CF", "CC"])
+    def test_band_limited_csd_changes_no_result(self, beam_artifacts, noisy_record,
+                                                monkeypatch, beam_id):
+        """With the search band cut to 300 Hz, PP and FDD score as on the
+        whole-grid CSD, though CC's modes 4 and 5 (464 and 696 Hz) lie above
+        the band and only their shape_at reads reach the stored lines."""
+        art = beam_artifacts[beam_id]
+        config = small_config(beams=(BeamConfig(beam_id, beam_id),), methods=("PP", "FDD"),
+                              peaks=PeakOptions(band=(0.5, 300.0)))
+        rec = noisy_record(beam_id, 0.5)
+        stored = []
+
+        def band_csd(record, options, f_max):
+            stored.append(csd_matrix(record, options, f_max))
+            return stored[-1]
+
+        monkeypatch.setattr("omabench.harness.csd_matrix", band_csd)
+        band = identify_record(rec, art, config)
+        monkeypatch.setattr("omabench.harness.csd_matrix",
+                            lambda record, options, f_max: csd_matrix(record, options))
+        assert band == identify_record(rec, art, config)
+        f_max = max(300.0, art.reference_frequencies.max())
+        assert stored[0].values.shape[0] == np.searchsorted(stored[0].frequencies, f_max) + 2
 
     def test_deterministic(self, cf, config):
         a = run_single(cf, config, 1, 3)

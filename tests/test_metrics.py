@@ -57,6 +57,16 @@ class TestMac:
         a, b = rng.standard_normal(7), rng.standard_normal(7)
         assert mac(a, flip * scale * b) == pytest.approx(mac(a, b), abs=1e-12)
 
+    def test_rounds_as_the_dot_product_formula(self):
+        """Each MAC, pair by pair or row-wise, equals the float formula over
+        np.dot with a Python float square, bit for bit."""
+        rng = np.random.default_rng(3)
+        a, b = rng.standard_normal((5000, 10)), rng.standard_normal((5000, 10))
+        want = [min(float(np.dot(x, y)) ** 2 / (float(np.dot(x, x)) * float(np.dot(y, y))), 1.0)
+                for x, y in zip(a, b)]
+        assert [mac(x, y) for x, y in zip(a, b)] == want
+        assert mac(a, b).tolist() == want
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             mac([1.0, 2.0], [1.0, 2.0, 3.0])

@@ -13,13 +13,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from omabench.dsp import MultiChannelRecord
 from omabench.metrics import mac
 from omabench.freqdom import IdentifiedMode, align_to_real, unit_normalize
 from omabench.harness import CampaignConfig, identify_record
 from omabench.ssi import (SsiOptions, build_hankel, clip_to_passband, realize_modes,
-                          ssi_identify, stabilization, _block_hankel, _conditioned)
+                          ssi_identify, stabilization, _block_hankel, _conditioned,
+                          _merge_duplicate_shapes)
 
 RAW = SsiOptions(block_rows=10, decimate=1, integrate=0)
 FREE_DECAY = replace(RAW, detrend=False)
@@ -160,6 +162,105 @@ class TestBuildHankel:
         assert dec.dt == pytest.approx(5.0 * raw.dt, rel=1e-12)
 
 
+def _loop_mac(a, b) -> float:
+    return min(float(np.dot(a, b)) ** 2 / (float(np.dot(a, a)) * float(np.dot(b, b))), 1.0)
+
+
+def _loop_shape(u: np.ndarray) -> np.ndarray:
+    """One complex vector aligned to real and unit-normalized in scalar steps."""
+    z = np.sum(u * u)
+    alpha = 0.5 * np.angle(z) if z != 0 else 0.0
+    v = np.real(u * np.exp(-1j * alpha))
+    if np.max(np.abs(v)) == 0.0:
+        v = np.abs(u)
+    return v / v[np.argmax(np.abs(v))]
+
+
+def _loop_oracle(fact, options):
+    """Oracle: the order sweep one pole at a time.
+
+    Returns the per-order pole lists, each pole a dict of frequency,
+    damping, shape, stable and mac_prev, and the selected modes.
+    """
+    l = fact.n_channels
+    swept, previous = [], []
+    for order in sorted({min(o, fact.rank) for o in options.resolve_orders(l)}):
+        n = min(order, fact.rank)
+        gamma = fact.u[:, :n] * np.sqrt(fact.s[:n])
+        if n <= gamma.shape[0] - l:
+            r, t = fact._shift_qr
+            a = linalg.solve_triangular(r[:n, :n], t[:n, :n])
+        else:
+            a, *_ = np.linalg.lstsq(gamma[:-l], gamma[l:], rcond=None)
+        mu, psi = np.linalg.eig(a)
+        upper = np.flatnonzero((np.hypot(mu.real, mu.imag) < 1.0) & (mu.imag > 0.0))
+        lam = np.log(mu[upper]) / fact.dt
+        w = np.hypot(lam.real, lam.imag)
+        zeta = -lam.real / w
+        current = sorted((dict(frequency=float(wk / (2.0 * np.pi)), damping=float(zk),
+                               shape=_loop_shape(gamma[:l] @ psi[:, k]),
+                               stable=False, mac_prev=0.0)
+                          for k, wk, zk in zip(upper, w, zeta) if 0.0 < zk < 0.2),
+                         key=lambda p: p["frequency"])
+        if previous:
+            prev_f = np.array([p["frequency"] for p in previous])
+            for pole in current:
+                prev = previous[int(np.argmin(np.abs(prev_f - pole["frequency"])))]
+                m = _loop_mac(pole["shape"], prev["shape"])
+                pole["stable"] = bool(
+                    abs(pole["frequency"] - prev["frequency"]) / prev["frequency"]
+                    <= options.freq_rel
+                    and abs(pole["damping"] - prev["damping"]) <= options.damping_abs
+                    and m >= options.mac_min)
+                pole["mac_prev"] = m
+        swept.append(current)
+        previous = current
+    stable = sorted((p for poles in swept for p in poles if p["stable"]),
+                    key=lambda p: p["frequency"])
+    f = np.array([p["frequency"] for p in stable])
+    cuts = list(np.flatnonzero(np.diff(f) > options.freq_rel * f[:-1]) + 1)
+    selected, sizes = [], []
+    for lo, hi in zip([0] + cuts, cuts + [len(stable)]):
+        cluster = stable[lo:hi]
+        if len(cluster) >= options.min_cluster_size:
+            best = max(cluster, key=lambda p: p["mac_prev"])
+            selected.append(IdentifiedMode(float(np.median(f[lo:hi])), best["shape"],
+                                           float(np.median([p["damping"] for p in cluster]))))
+            sizes.append(len(cluster))
+    return swept, _merge_duplicate_shapes(selected, sizes, options)
+
+
+def _pole_bytes(poles):
+    return [(p["frequency"], p["damping"], p["shape"].tobytes(), p["stable"], p["mac_prev"])
+            for p in poles]
+
+
+def _array_bytes(poles):
+    return list(zip(poles.frequency.tolist(), poles.damping.tolist(),
+                    [s.tobytes() for s in poles.shapes], poles.stable.tolist(),
+                    poles.mac_prev.tolist()))
+
+
+@pytest.mark.parametrize("beam_id", ["CF", "SS"])
+def test_array_sweep_equals_loop_oracle(noisy_record, beam_id):
+    """realize_modes and stabilization give the per-pole loop's frequency,
+    damping, shape bytes, stable flag and mac_prev for every pole, and its
+    selected modes, at NL 0.5."""
+    fact = build_hankel(noisy_record(beam_id, 0.5))
+    options = SsiOptions()
+    swept, selected = _loop_oracle(fact, options)
+    orders = sorted({min(o, fact.rank) for o in options.resolve_orders(fact.n_channels)})
+    for order, want in zip(orders, swept):
+        got = _array_bytes(realize_modes(fact, order))
+        assert got == [(*row[:3], False, 0.0) for row in _pole_bytes(want)]
+    diagram = stabilization(fact, options)
+    poles = diagram.poles
+    assert _array_bytes(poles) == _pole_bytes(p for ps in swept for p in ps)
+    assert poles.frequency.size > 500 and poles.stable.any()
+    assert [(m.frequency, m.damping, m.shape.tobytes()) for m in diagram.selected] == \
+        [(m.frequency, m.damping, m.shape.tobytes()) for m in selected]
+
+
 class TestRealizeModes:
     def test_free_decay_round_trip(self):
         """Discrete eigenvalues of a noise-free decay come back to 1e-6.
@@ -171,11 +272,11 @@ class TestRealizeModes:
         _, _, mu, _, _ = two_dof_discrete()
         fact = build_hankel(two_dof_free_decay(3000), FREE_DECAY)
         cands = realize_modes(fact, 4)
-        assert len(cands) == 2
+        assert cands.frequency.size == 2
         mu_hat = []
-        for cand in cands:
-            w = 2.0 * np.pi * cand.frequency
-            lam = -cand.damping * w + 1j * w * np.sqrt(1.0 - cand.damping ** 2)
+        for f, zeta in zip(cands.frequency, cands.damping):
+            w = 2.0 * np.pi * f
+            lam = -zeta * w + 1j * w * np.sqrt(1.0 - zeta ** 2)
             mu_hat.append(np.exp(lam * fact.dt))
         mu_hat = sorted(mu_hat, key=np.angle)
         for got, ref in zip(mu_hat, sorted(mu, key=np.angle)):
@@ -208,12 +309,13 @@ class TestRealizeModes:
             x[[1, 3]] += rng.standard_normal(2)
         rec = MultiChannelRecord(1.0 / dt, y)
         fact = build_hankel(rec, SsiOptions(block_rows=10, decimate=5, integrate=0))
-        cands = sorted(realize_modes(fact, 4), key=lambda m: m.frequency)
-        assert len(cands) == 2
-        for cand, fr, zr, col in zip(cands, f_true, z_true, phi.T):
-            assert abs(cand.frequency - fr) / fr <= 0.001
-            assert cand.damping == pytest.approx(zr, abs=0.005)
-            assert mac(cand.shape, col) >= 0.999
+        cands = realize_modes(fact, 4)
+        assert cands.frequency.size == 2
+        for f, zeta, shape, fr, zr, col in zip(cands.frequency, cands.damping, cands.shapes,
+                                               f_true, z_true, phi.T):
+            assert abs(f - fr) / fr <= 0.001
+            assert zeta == pytest.approx(zr, abs=0.005)
+            assert mac(shape, col) >= 0.999
 
     @pytest.mark.xfail(reason="a single fixed order over-models the clean "
                        "record and splits mode 2 into two poles off the "
@@ -223,9 +325,8 @@ class TestRealizeModes:
         fact = build_hankel(cf.clean_record)
         cands = realize_modes(fact, 20)
         for fr in cf.reference_frequencies:
-            near = [cand for cand in cands
-                    if abs(cand.frequency - fr) <= 0.005 * fr]
-            assert near and all(abs(cand.damping - 0.025) <= 0.005 for cand in near)
+            near = np.abs(cands.frequency - fr) <= 0.005 * fr
+            assert near.any() and np.all(np.abs(cands.damping[near] - 0.025) <= 0.005)
 
     @pytest.mark.parametrize("beam_id", ["CF", "SS", "CS", "CC"])
     def test_shared_qr_matches_per_order_lstsq(self, beam_artifacts, noisy_record, beam_id):
@@ -245,12 +346,12 @@ class TestRealizeModes:
         for order in SsiOptions().resolve_orders(rec.n_channels):
             got = realize_modes(fact, order)
             want = lstsq_candidates(fact, order)
-            assert len(got) == len(want), order
-            for cand, (freq, zeta, shape) in zip(got, want):
+            assert got.frequency.size == len(want), order
+            for f, z, s, (freq, zeta, shape) in zip(got.frequency, got.damping, got.shapes, want):
                 tol = 1e-9 if freq >= f_low else 1e-7
-                assert abs(cand.frequency - freq) <= tol * freq, (order, freq)
-                assert abs(cand.damping - zeta) <= tol, (order, freq)
-                assert mac(cand.shape, shape) >= 1.0 - 1e-9, (order, freq)
+                assert abs(f - freq) <= tol * freq, (order, freq)
+                assert abs(z - zeta) <= tol, (order, freq)
+                assert mac(s, shape) >= 1.0 - 1e-9, (order, freq)
 
     def test_order_out_of_range(self):
         rec = MultiChannelRecord(100.0, np.random.default_rng(3).standard_normal((2, 200)))
@@ -268,8 +369,8 @@ class TestRealizeModes:
         assert fact.rank < 12
 
         def poles(order):
-            return [(p.frequency, p.damping, p.shape.tolist())
-                    for p in realize_modes(fact, order)]
+            p = realize_modes(fact, order)
+            return p.frequency.tolist(), p.damping.tolist(), p.shapes.tolist()
 
         assert poles(12) == poles(fact.rank)
 
@@ -295,7 +396,7 @@ class TestStabilization:
             rng = np.random.default_rng(seed)
             rec = MultiChannelRecord(1000.0, rng.standard_normal((3, 5000)))
             diagram = stabilization(build_hankel(rec, RAW), SsiOptions(orders=orders))
-            assert sum(p.stable for p in diagram.poles) <= 0.3 * len(diagram.poles)
+            assert diagram.poles.stable.sum() <= 0.3 * diagram.poles.stable.size
             total_selected += len(diagram.selected)
         assert total_selected <= 2
 
@@ -336,10 +437,11 @@ class TestStabilization:
         fact = build_hankel(cf.clean_record)
         diagram = stabilization(fact, SsiOptions(orders=tuple(range(2, 41, 2))))
         f1 = cf.reference_frequencies[0]
-        pole = diagram.nearest_pole(f1)
-        assert pole is not None
-        assert abs(pole.frequency - f1) <= 0.05 * f1
-        assert diagram.nearest_pole(5000.0) is None
+        shape = diagram.nearest_shape(f1)
+        near = np.abs(diagram.poles.frequency - f1) <= 0.05 * f1
+        assert shape is not None
+        assert any(np.array_equal(s, shape) for s in diagram.poles.shapes[near])
+        assert diagram.nearest_shape(5000.0) is None
 
 
 class TestPassband:
