@@ -346,12 +346,11 @@ def _recurrence_coefficients(omega: np.ndarray, zeta: float, dt: float):
     return a, b, cc, dd, a1, b1, c1, d1
 
 
-def _modal_superposition(omega: np.ndarray, zeta: float, modal_forces: np.ndarray,
-                         dt: float, n_out: int):
+def _modal_superposition(omega: np.ndarray, zeta: float, p: np.ndarray, dt: float):
     """Integrate every modal SDOF and return (q, qdot, qddot) histories.
 
-    ``modal_forces`` has shape ``(n_modes, n_samples)`` with
-    ``n_samples >= n_out``; the system starts from rest.
+    The modal forces ``p`` have shape ``(n_modes, n_samples)`` and every
+    history has that shape; the system starts from rest.
 
     The recurrence of :func:`_recurrence_coefficients` is a time-invariant
     2x2 state update ``x+ = M x + C p0 + D p1`` per mode, so ``q`` and ``q'``
@@ -361,7 +360,6 @@ def _modal_superposition(omega: np.ndarray, zeta: float, modal_forces: np.ndarra
     histories are zero at sample 0 whatever the first force sample.
     """
     a, b, cc, dd, a1, b1, c1, d1 = _recurrence_coefficients(omega, zeta, dt)
-    p = modal_forces[:, :n_out]
     den = np.stack([np.ones_like(a), -(a + b1), a * b1 - b * a1], axis=1)
     num_q = np.stack([dd, cc - b1 * dd + b * d1, b * c1 - b1 * cc], axis=1)
     num_qd = np.stack([d1, c1 - a * d1 + a1 * dd, a1 * cc - a * c1], axis=1)
@@ -377,27 +375,20 @@ def _modal_superposition(omega: np.ndarray, zeta: float, modal_forces: np.ndarra
 
 
 def transient_response(system: GlobalSystem, modal: ModalSolution,
-                       forces: MultiChannelRecord, dt: float,
-                       duration: float) -> MultiChannelRecord:
+                       forces: MultiChannelRecord) -> MultiChannelRecord:
     """Simulate channel accelerations under nodal force histories.
 
     All modes contained in ``modal`` participate.  Forces are applied at the
-    measurement channels (one force channel per free vertical DOF, sampled at
-    ``1 / dt``); the returned record holds absolute accelerations at those
-    channels with ``round(duration / dt) + 1`` samples.
+    measurement channels (one force channel per free vertical DOF); the
+    simulation runs on the force record's grid, so the returned record holds
+    absolute accelerations at those channels with ``forces.n_samples``
+    samples at ``forces.sample_rate``.
     """
-    if dt <= 0 or duration <= 0:
-        raise ValueError("dt and duration must be positive")
-    if abs(forces.sample_rate * dt - 1.0) > 1e-9:
-        raise ValueError("forces sample rate must equal 1/dt")
     if forces.n_channels != system.n_channels:
         raise ValueError("forces must supply one channel per free vertical DOF")
-    n_out = int(round(duration / dt)) + 1
-    if forces.n_samples < n_out:
-        raise ValueError("force record shorter than requested duration")
     phi_ch = modal.channel_shapes(system)           # channels x modes
     omega = 2.0 * np.pi * modal.frequencies
     p = phi_ch.T @ forces.data                      # modal forces
-    _, _, qdd = _modal_superposition(omega, modal.damping_ratio, p, dt, n_out)
+    _, _, qdd = _modal_superposition(omega, modal.damping_ratio, p, 1.0 / forces.sample_rate)
     acc = phi_ch @ qdd
-    return MultiChannelRecord(1.0 / dt, acc, system.channel_labels)
+    return MultiChannelRecord(forces.sample_rate, acc, system.channel_labels)

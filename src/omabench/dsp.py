@@ -187,8 +187,9 @@ def force_lines(duration: float, sample_rate: float, force_band: tuple[float, fl
     """Check excitation settings; return the sample count and in-band lines.
 
     The one check of :func:`band_limited_force`'s settings, also run when a
-    beam config is built.  Returns ``n = round(duration * sample_rate) + 1``
-    and the boolean mask of the ``rfft`` lines of an ``n``-sample record
+    beam config is built.  Returns ``n = round(duration * sample_rate) + 1``,
+    the one sample-count rule (the simulator runs on the force record's
+    grid), and the boolean mask of the ``rfft`` lines of an ``n``-sample record
     that lie inside ``force_band``; the DC line is never in it.
     """
     if duration <= 0 or sample_rate <= 0:
@@ -224,7 +225,7 @@ def band_limited_force(duration: float, sample_rate: float, force_band: tuple[fl
     ----------
     duration : float
         Length in seconds; the output has ``round(duration * sample_rate) + 1``
-        samples to match the simulator grid.
+        samples.
     sample_rate : float
         Sampling rate in Hz.
     force_band : (float, float)

@@ -101,9 +101,8 @@ class IdentifiedModeSet:
     """
 
     modes: tuple[IdentifiedMode, ...]
+    shape_at: Callable[[float, float], np.ndarray | None] = field(compare=False, repr=False)
     notes: tuple[str, ...] = ()
-    shape_at: Callable[[float, float], np.ndarray | None] | None = field(
-        default=None, compare=False, repr=False)
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -275,8 +274,8 @@ def pp_identify(g: SpectralMatrix, peaks: PeakOptions = PeakOptions(),
             notes.append(f"dropped_peak_at={pk.frequency:.3f}Hz (zero reference auto-spectrum)")
             continue
         modes.append(IdentifiedMode(pk.frequency, shape))
-    return IdentifiedModeSet(tuple(modes), tuple(notes),
-                             lambda f, _window: pp_shape_at(g, ref, f))
+    return IdentifiedModeSet(tuple(modes), lambda f, _window: pp_shape_at(g, ref, f),
+                             tuple(notes))
 
 
 def _first_singular_values(values: np.ndarray) -> np.ndarray:

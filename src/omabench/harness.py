@@ -281,7 +281,7 @@ def simulate_beam(bc: BeamConfig, master_seed: int,
     forces = MultiChannelRecord(
         rate, band_limited_force(bc.duration, rate, bc.force_band, bc.force_rms, seeds),
         labels)
-    record = transient_response(ref.system, ref.modal, forces, bc.dt, bc.duration)
+    record = transient_response(ref.system, ref.modal, forces)
     return replace(ref, clean_record=record)
 
 
@@ -459,12 +459,11 @@ class BenchmarkReport:
     def runs_for(self, beam_id: str, nl_index: int) -> list[RunResult]:
         return list(self._cells.get((beam_id, nl_index), ()))
 
-    def worst_run(self, beam_id: str, nl_index: int, method: str = "PP") -> RunResult:
+    def worst_run(self, beam_id: str, nl_index: int, method: str) -> RunResult:
         """Run minimizing the minimum per-mode MAC of ``method`` at this level."""
         runs = self.runs_for(beam_id, nl_index)
         if not runs:
             raise ValueError(f"no runs for beam {beam_id} at level index {nl_index}")
-        method = method if method in runs[0].methods else next(iter(runs[0].methods))
         return min(runs, key=lambda r: (min(o.mac for o in r.methods[method].modes),
                                         r.run_index))
 
@@ -608,7 +607,8 @@ def summarize_and_tables(report: BenchmarkReport, outdir, artifacts: dict) -> li
     snrs = [fmt(math.inf if level == 0 else noise_level_to_snr_db(level))
             for level in config.noise_levels]
     # Worst-case run of every (beam, level) cell, shared by all the tables.
-    worst = {(bc.beam_id, nl): report.worst_run(bc.beam_id, nl)
+    rank_by = "PP" if "PP" in methods else methods[0]
+    worst = {(bc.beam_id, nl): report.worst_run(bc.beam_id, nl, rank_by)
              for bc in config.beams for nl in levels}
 
     for bc in config.beams:

@@ -21,7 +21,7 @@ from scipy import linalg, signal
 
 from .dsp import MultiChannelRecord
 from .freqdom import IdentifiedMode, IdentifiedModeSet, align_to_real, unit_normalize
-from .metrics import PairingOptions, mac
+from .metrics import mac
 
 __all__ = [
     "SsiOptions",
@@ -113,12 +113,11 @@ class SubspaceFactorization:
     u: np.ndarray
     s: np.ndarray
     n_channels: int
-    block_rows: int
     dt: float
 
     @property
     def max_order(self) -> int:
-        return self.block_rows * self.n_channels
+        return self.u.shape[0]
 
     @cached_property
     def rank(self) -> int:
@@ -174,8 +173,7 @@ class StabilizationDiagram:
     selected: tuple[IdentifiedMode, ...]
     notes: tuple[str, ...] = ()
 
-    def nearest_shape(self, frequency: float,
-                      rel_window: float = PairingOptions.f_window) -> np.ndarray | None:
+    def nearest_shape(self, frequency: float, rel_window: float) -> np.ndarray | None:
         """Shape of the closest swept pole within a relative frequency window,
         stable first; the first in sweep order among equally close ones."""
         dist = np.abs(self.poles.frequency - frequency)
@@ -247,7 +245,7 @@ def build_hankel(record: MultiChannelRecord,
     proj, _ = linalg.qr_multiply(h[:li].T, h[li:], mode="right",
                                  overwrite_a=True, overwrite_c=True)
     u, s, _ = np.linalg.svd(proj)
-    return SubspaceFactorization(u, s, l, i, dt)
+    return SubspaceFactorization(u, s, l, dt)
 
 
 def realize_modes(fact: SubspaceFactorization, order: int) -> Poles:
@@ -403,4 +401,4 @@ def ssi_identify(record: MultiChannelRecord,
     diagram = stabilization(fact, options)
     selected, notes = clip_to_passband(diagram.selected, diagram.notes,
                                        record.sample_rate, options)
-    return IdentifiedModeSet(selected, notes, diagram.nearest_shape)
+    return IdentifiedModeSet(selected, diagram.nearest_shape, notes)

@@ -236,7 +236,7 @@ class TestTransientResponse:
         _, sys_, sol = self._setup("CF")
         n = 2001
         forces = self._forces(sys_, np.zeros((sys_.n_channels, n)))
-        rec = transient_response(sys_, sol, forces, self.DT, 0.2)
+        rec = transient_response(sys_, sol, forces)
         assert rec.n_samples == 2001
         np.testing.assert_array_equal(rec.data, 0.0)
 
@@ -255,7 +255,7 @@ class TestTransientResponse:
         drive = 4  # mid-span channel
         data = np.zeros((sys_.n_channels, n))
         data[drive] = amp * np.sin(2.0 * np.pi * f1 * t)
-        rec = transient_response(sys_, sol, self._forces(sys_, data), self.DT, duration)
+        rec = transient_response(sys_, sol, self._forces(sys_, data))
         phi = sol.channel_shapes(sys_)
         p1 = phi[drive, 0] * amp
         # lock-in over an integer number of periods in the settled tail
@@ -281,7 +281,7 @@ class TestTransientResponse:
         n = int(round(duration / self.DT)) + 1
         data = np.zeros((sys_.n_channels, n))
         data[4, :20] = 100.0  # short kick
-        rec = transient_response(sys_, sol, self._forces(sys_, data), self.DT, duration)
+        rec = transient_response(sys_, sol, self._forces(sys_, data))
         sos = sps.butter(4, [0.6 * f1, 1.6 * f1], "bandpass", fs=1.0 / self.DT, output="sos")
         y = sps.sosfiltfilt(sos, rec.data[4])
         t = rec.times()
@@ -297,8 +297,8 @@ class TestTransientResponse:
         rng = np.random.default_rng(3)
         data = rng.standard_normal((sys_.n_channels, 1001))
         forces = self._forces(sys_, data)
-        a = transient_response(sys_, sol, forces, self.DT, 0.1)
-        b = transient_response(sys_, sol, forces, self.DT, 0.1)
+        a = transient_response(sys_, sol, forces)
+        b = transient_response(sys_, sol, forces)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_energy_decay_after_force_off(self):
@@ -307,7 +307,7 @@ class TestTransientResponse:
         n = 5000
         p = np.zeros((1, n))
         p[0, :100] = 1.0
-        q, qd, _ = _modal_superposition(w, 0.025, p, 1e-4, n)
+        q, qd, _ = _modal_superposition(w, 0.025, p, 1e-4)
         e = 0.5 * (qd[0] ** 2 + (w[0] * q[0]) ** 2)
         tail = e[120:]
         assert np.all(np.diff(tail) <= 1e-12 * e.max())
@@ -326,7 +326,7 @@ class TestTransientResponse:
         p = sol.channel_shapes(sys_).T @ data
         assert np.all(p[:, 0] != 0.0)
         omega = 2.0 * np.pi * sol.frequencies
-        got = _modal_superposition(omega, sol.damping_ratio, p, self.DT, n)
+        got = _modal_superposition(omega, sol.damping_ratio, p[:, :n], self.DT)
         want = _loop_oracle(omega, sol.damping_ratio, p, self.DT, n)
         for g, w in zip(got, want):
             assert g.shape == w.shape == (sol.n_modes, n)
@@ -337,7 +337,23 @@ class TestTransientResponse:
         _, sys_, sol = self._setup("CF")
         bad = MultiChannelRecord(1.0 / self.DT, np.zeros((3, 1001)))
         with pytest.raises(ValueError):
-            transient_response(sys_, sol, bad, self.DT, 0.1)
-        good = self._forces(sys_, np.zeros((sys_.n_channels, 50)))
-        with pytest.raises(ValueError):
-            transient_response(sys_, sol, good, self.DT, 0.1)
+            transient_response(sys_, sol, bad)
+
+    @pytest.mark.parametrize("dt, n", [(3e-4, 339), (1.2e-4, 50), (4e-4, 2)])
+    def test_runs_on_the_force_grid(self, dt, n):
+        """The response has the force record's sample count and rate, and
+        its recurrence steps ``1 / rate``: the oracle on the same modal forces
+        at that step gives the same accelerations."""
+        _, sys_, sol = self._setup("CF")
+        data = np.random.default_rng(5).standard_normal((sys_.n_channels, n))
+        rate = 1.0 / dt
+        forces = MultiChannelRecord(rate, data, sys_.channel_labels)
+        rec = transient_response(sys_, sol, forces)
+        assert rec.n_samples == n and rec.sample_rate == rate
+        assert rec.labels == sys_.channel_labels
+        phi = sol.channel_shapes(sys_)
+        omega = 2.0 * np.pi * sol.frequencies
+        _, _, qdd = _loop_oracle(omega, sol.damping_ratio, phi.T @ data, 1.0 / rate, n)
+        want = phi @ qdd
+        peak = np.max(np.abs(want))
+        assert np.all(np.abs(rec.data - want) <= 1e-10 * peak)

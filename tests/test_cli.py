@@ -211,6 +211,15 @@ class TestSimulate:
                         "--duration", "0.2", "--out", str(tmp_path / "cc.npz")]) == 2
         assert "beam CC has no measurement channels" in capsys.readouterr().err
 
+    def test_half_step_duration_runs_on_the_force_grid(self, tmp_path, capsys):
+        """0.10155 s at 0.3 ms is a half step: the force record's 339 samples
+        are the simulated grid."""
+        out = tmp_path / "odd.npz"
+        assert run_cli(["simulate", "--beam", "CF", "--dt", "0.0003",
+                        "--duration", "0.10155", "--out", str(out)]) == 0
+        assert "10 channels x 339 samples" in capsys.readouterr().out
+        assert MultiChannelRecord.from_npz(out).n_samples == 339
+
 
 class TestCorrupt:
     def test_zero_level_identity(self, tmp_path, capsys):
@@ -379,6 +388,21 @@ class TestBench:
         for name in self.EXPECTED:
             p = outdir / name
             assert p.exists() and p.stat().st_size > 0, name
+
+    def test_half_step_duration_fills_out(self, tmp_path, capsys):
+        """A beam whose duration is a half step at its dt loads and runs."""
+        cfg = tmp_path / "odd.json"
+        cfg.write_text(json.dumps({
+            "runs": 1, "noise_levels": [0.5], "methods": ["PP"],
+            "peaks": {"band": [0.5, 700.0]},
+            "beams": [{"beam_id": "CF", "support": "CF", "dt": 0.0006,
+                       "duration": 0.5031, "force_band": [1.0, 800.0]}]}))
+        out = tmp_path / "out"
+        assert run_cli(["bench", "--config", str(cfg), "--jobs", "1",
+                        "--out", str(out)]) == 0
+        capsys.readouterr()
+        expected = [name.replace("0.2", "0.5") for name in self.EXPECTED]
+        assert sorted(p.name for p in out.iterdir()) == sorted(expected)
 
     def test_runs_flag_overrides_config(self, bench_out, tmp_path, capsys):
         _, _, cfg_path = bench_out

@@ -265,6 +265,18 @@ class TestRunSingle:
         f_max = max(300.0, art.reference_frequencies.max())
         assert stored[0].values.shape[0] == np.searchsorted(stored[0].frequencies, f_max) + 2
 
+    def test_unpaired_shape_hook_gets_the_pairing_window(self, cf, noisy_record):
+        """A 1e-9 window pairs no mode.  SSI's hook reads swept poles within
+        that window, so finds none and scores 0.0; PP and FDD read the line
+        nearest the reference frequency, whatever the window."""
+        config = small_config(methods=("PP", "FDD", "SSI"),
+                              pairing=PairingOptions(f_window=1e-9))
+        methods = identify_record(noisy_record("CF", 0.5), cf, config)
+        for name, result in methods.items():
+            assert not result.failed and not any(o.identified for o in result.modes)
+            macs = [o.mac for o in result.modes]
+            assert all(m == 0.0 for m in macs) if name == "SSI" else all(m > 0.0 for m in macs)
+
     def test_deterministic(self, cf, config):
         a = run_single(cf, config, 1, 3)
         b = run_single(cf, config, 1, 3)
@@ -350,14 +362,14 @@ class TestReportStatistics:
     def test_worst_run_selection_rule(self, cf_campaign):
         """The worst run minimizes the per-run minimum PP MAC over modes."""
         nl_index = len(CAMPAIGN_LEVELS) - 1
-        worst = cf_campaign.worst_run("CF", nl_index)
+        worst = cf_campaign.worst_run("CF", nl_index, "PP")
         floor = min(o.mac for o in worst.methods["PP"].modes)
         for r in cf_campaign.runs_for("CF", nl_index):
             assert floor <= min(o.mac for o in r.methods["PP"].modes)
 
     def test_missing_cell_raises(self, cf_campaign):
         with pytest.raises(ValueError):
-            cf_campaign.worst_run("CF", 99)
+            cf_campaign.worst_run("CF", 99, "PP")
 
     def test_mode_one_never_sole_survivor(self, cf_campaign):
         """No method's worst run keeps only the fundamental at NL >= 0.5."""

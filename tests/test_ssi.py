@@ -437,11 +437,11 @@ class TestStabilization:
         fact = build_hankel(cf.clean_record)
         diagram = stabilization(fact, SsiOptions(orders=tuple(range(2, 41, 2))))
         f1 = cf.reference_frequencies[0]
-        shape = diagram.nearest_shape(f1)
+        shape = diagram.nearest_shape(f1, 0.05)
         near = np.abs(diagram.poles.frequency - f1) <= 0.05 * f1
         assert shape is not None
         assert any(np.array_equal(s, shape) for s in diagram.poles.shapes[near])
-        assert diagram.nearest_shape(5000.0) is None
+        assert diagram.nearest_shape(5000.0, 0.05) is None
 
 
 class TestPassband:
