@@ -11,13 +11,14 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
 from .beam import SUPPORTS
 from .dsp import MultiChannelRecord, fmt, write_csv
 from .harness import (BeamConfig, BenchmarkReport, CampaignConfig, DEFAULT_SEED,
-                      fe_reference, identify_record, run_campaign, simulate_beam,
+                      campaign_pool, identify_record, run_campaign, simulate_beam,
                       simulate_beams, summarize_and_tables)
 from .noise import corrupt, noise_level_to_snr_db
 
@@ -132,7 +133,7 @@ def _cmd_identify(args) -> int:
     method = args.method.upper()
     config = CampaignConfig(beams=(BeamConfig(args.beam, args.beam),), n_modes=args.modes,
                             methods=(method,))
-    art = fe_reference(config.beams[0], config.n_modes)
+    art = config.fe_references[args.beam]
     result = identify_record(record, art, config)[method]
     if result.failed:
         raise ValueError(result.notes[0].removeprefix("failed: "))
@@ -155,8 +156,11 @@ def _cmd_bench(args) -> int:
     config = CampaignConfig.from_dict(doc)
     os.makedirs(config.output_dir, exist_ok=True)  # fail before the campaign, not after
     artifacts = simulate_beams(config)
-    report = run_campaign(config, jobs=resolve_jobs(args.jobs), artifacts=artifacts)
-    written = summarize_and_tables(report, config.output_dir, artifacts=artifacts)
+    # One pool serves the runs and then the worst runs' ANPSD curves.
+    jobs = resolve_jobs(args.jobs)
+    with campaign_pool(config, artifacts, jobs) if jobs > 1 else nullcontext() as pool:
+        report = run_campaign(config, artifacts=artifacts, pool=pool)
+        written = summarize_and_tables(report, config.output_dir, artifacts, pool)
     print(f"campaign complete: {len(report.results)} runs, "
           f"{sum(report.failure_counts.values())} identifier failures, "
           f"{len(written)} files in {config.output_dir}")
@@ -164,6 +168,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    # Serial: a pool forked from this process would hold a copy of the whole
+    # report in each worker's resident set.
     report = BenchmarkReport.from_json(args.infile)
     outdir = args.out or (os.path.dirname(os.path.abspath(args.infile)) or ".")
     written = summarize_and_tables(report, outdir, simulate_beams(report.config))

@@ -213,8 +213,17 @@ def pick_peaks(frequencies, values, options: PeakOptions = PeakOptions()) -> lis
     return peaks
 
 
-def _nearest_bin(frequencies: np.ndarray, f: float) -> int:
-    return int(np.argmin(np.abs(frequencies - f)))
+def _lines_nearest(spectral: SpectralMatrix, frequencies) -> np.ndarray:
+    """Cross-spectra at the grid line nearest each of ``frequencies``, one
+    line per frequency in a ``(n, l, l)`` stack; a line past the stored ones
+    raises as :meth:`SpectralMatrix.lines` does."""
+    f, x = spectral.frequencies, np.ravel(frequencies)
+    # The grid ascends, so the nearest line is the last one below x or the
+    # first at or above it; a tie goes to the lower, as argmin's would.
+    above = np.searchsorted(f, x)
+    lower, upper = np.maximum(above - 1, 0), np.minimum(above, f.size - 1)
+    bins = np.where(np.abs(f[lower] - x) <= np.abs(f[upper] - x), lower, upper)
+    return spectral.lines(0, int(bins.max(initial=0)) + 1)[bins]
 
 
 def _band_power_reference(spectral: SpectralMatrix, band: tuple[float, float]) -> int:
@@ -225,23 +234,24 @@ def _band_power_reference(spectral: SpectralMatrix, band: tuple[float, float]) -
     return int(np.argmax(power))
 
 
-def pp_shape_at(spectral: SpectralMatrix, reference_channel: int,
-                frequency: float) -> np.ndarray | None:
-    """Peak-picking shape at the grid bin nearest ``frequency``.
+def pp_shape_at(spectral: SpectralMatrix, reference_channel: int, frequencies):
+    """Peak-picking shapes at the grid line nearest each of ``frequencies``.
 
-    Entry ``j`` is ``|G_jr| / G_rr`` signed by the cross-spectrum phase
-    (positive when within a quarter turn of the reference).  Returns ``None``
-    when the reference auto-spectrum vanishes at that bin.
+    Entry ``j`` of a shape is ``|G_jr| / G_rr`` signed by the cross-spectrum
+    phase (positive when within a quarter turn of the reference); a line
+    where the reference auto-spectrum vanishes gives ``None``.  A sequence
+    of frequencies gives a list, one entry per frequency, read in one array
+    pass; a single frequency gives its entry.
     """
-    b = _nearest_bin(spectral.frequencies, frequency)
-    g = spectral.lines(b, b + 1)[0]
-    grr = g[reference_channel, reference_channel].real
-    if grr <= 0.0:
-        return None
-    col = g[:, reference_channel]
-    mag = np.abs(col) / grr
+    g = _lines_nearest(spectral, frequencies)
+    grr = g[:, reference_channel, reference_channel].real
+    live = grr > 0.0
+    col = g[live, :, reference_channel]
+    mag = np.abs(col) / grr[live, None]
     sign = np.where(np.abs(np.angle(col)) < np.pi / 2.0, 1.0, -1.0)
-    return unit_normalize(mag * sign)
+    shapes = iter(unit_normalize(mag * sign))
+    found = [next(shapes) if ok else None for ok in live]
+    return found if np.ndim(frequencies) else found[0]
 
 
 def pp_identify(g: SpectralMatrix, peaks: PeakOptions = PeakOptions(),
@@ -268,8 +278,8 @@ def pp_identify(g: SpectralMatrix, peaks: PeakOptions = PeakOptions(),
     if curve.excluded_channels:
         notes.append(f"zero_power_channels={list(curve.excluded_channels)}")
     modes = []
-    for pk in found:
-        shape = pp_shape_at(g, ref, curve.frequencies[pk.bin_index])
+    shapes = pp_shape_at(g, ref, [curve.frequencies[pk.bin_index] for pk in found])
+    for pk, shape in zip(found, shapes):
         if shape is None:
             notes.append(f"dropped_peak_at={pk.frequency:.3f}Hz (zero reference auto-spectrum)")
             continue
@@ -283,11 +293,14 @@ def _first_singular_values(values: np.ndarray) -> np.ndarray:
     return np.maximum(np.linalg.eigvalsh(values)[:, -1], 0.0)
 
 
-def fdd_shape_at(spectral: SpectralMatrix, frequency: float) -> np.ndarray:
-    """First singular vector at the bin nearest ``frequency``, made real."""
-    b = _nearest_bin(spectral.frequencies, frequency)
-    _, vecs = np.linalg.eigh(spectral.lines(b, b + 1)[0])
-    return unit_normalize(align_to_real(vecs[:, -1]))
+def fdd_shape_at(spectral: SpectralMatrix, frequencies):
+    """First singular vector at the grid line nearest each of ``frequencies``,
+    made real.  A sequence of frequencies gives a list, one shape per
+    frequency, from one stacked ``eigh``; a single frequency gives its shape.
+    """
+    _, vecs = np.linalg.eigh(_lines_nearest(spectral, frequencies))
+    found = list(unit_normalize(align_to_real(vecs[..., -1])))
+    return found if np.ndim(frequencies) else found[0]
 
 
 def fdd_identify(g: SpectralMatrix, peaks: PeakOptions = PeakOptions()) -> IdentifiedModeSet:
@@ -305,8 +318,9 @@ def fdd_identify(g: SpectralMatrix, peaks: PeakOptions = PeakOptions()) -> Ident
     if sel.size:
         lo, hi = max(sel[0] - 1, 0), sel[-1] + 2
         s1[lo:hi] = _first_singular_values(g.lines(lo, hi))
-    modes = tuple(IdentifiedMode(pk.frequency, fdd_shape_at(g, freqs[pk.bin_index]))
-                  for pk in pick_peaks(freqs, s1, peaks))
+    found = pick_peaks(freqs, s1, peaks)
+    shapes = fdd_shape_at(g, [freqs[pk.bin_index] for pk in found])
+    modes = tuple(IdentifiedMode(pk.frequency, shape) for pk, shape in zip(found, shapes))
     return IdentifiedModeSet(modes, shape_at=lambda f, _window: fdd_shape_at(g, f))
 
 

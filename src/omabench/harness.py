@@ -14,7 +14,8 @@ import json
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cache, cached_property
 
@@ -47,6 +48,7 @@ __all__ = [
     "simulate_beams",
     "identify_record",
     "run_single",
+    "campaign_pool",
     "run_campaign",
     "summarize_and_tables",
 ]
@@ -105,7 +107,10 @@ def default_beams() -> tuple[BeamConfig, ...]:
 class CampaignConfig:
     """Fully resolved campaign settings (see :func:`CampaignConfig.from_dict`).
 
-    The field order and nesting are those of the JSON form.
+    The field order and nesting are those of the JSON form.  Loading checks
+    every beam with :func:`fe_reference` and keeps the results, by beam id,
+    in ``fe_references``, an attribute outside the fields: it is neither
+    encoded nor compared.
     """
 
     master_seed: int = DEFAULT_SEED
@@ -138,12 +143,14 @@ class CampaignConfig:
         ids = [b.beam_id for b in self.beams]
         if len(set(ids)) != len(ids):
             raise ValueError("beam ids must be unique")
+        references = {}
         for bc in self.beams:  # fe_reference raises for a beam that cannot serve
-            n_channels = fe_reference(bc, self.n_modes).system.n_channels
+            references[bc.beam_id] = fe_reference(bc, self.n_modes)
             try:
-                self.ssi.resolve_orders(n_channels)
+                self.ssi.resolve_orders(references[bc.beam_id].system.n_channels)
             except ValueError as exc:
                 raise ValueError(f"ssi.orders for beam {bc.beam_id}: {exc}") from None
+        object.__setattr__(self, "fe_references", references)
 
     def to_dict(self) -> dict:
         return {"schema_version": SCHEMA_VERSION, **json.loads(_JSON.encode(self))}
@@ -267,14 +274,15 @@ def fe_reference(bc: BeamConfig, n_modes: int = CampaignConfig.n_modes) -> BeamA
                          modal.channel_shapes(system)[:, :n_modes])
 
 
-def simulate_beam(bc: BeamConfig, master_seed: int,
-                  n_modes: int = CampaignConfig.n_modes) -> BeamArtifacts:
-    """Assemble, solve and simulate one beam with derived excitation seeds.
+def simulate_beam(bc: BeamConfig, master_seed: int, n_modes: int = CampaignConfig.n_modes,
+                  reference: BeamArtifacts | None = None) -> BeamArtifacts:
+    """Simulate one beam with derived excitation seeds.
 
     Every free vertical DOF is driven by an independent band-limited force;
-    all FE modes participate in the response.
+    all FE modes participate in the response.  ``reference`` is the beam's
+    :func:`fe_reference` when it is already solved; else it is solved here.
     """
-    ref = fe_reference(bc, n_modes)
+    ref = reference if reference is not None else fe_reference(bc, n_modes)
     rate = 1.0 / bc.dt
     labels = ref.system.channel_labels
     seeds = [derive_seed(master_seed, "force", bc.beam_id, label) for label in labels]
@@ -287,7 +295,8 @@ def simulate_beam(bc: BeamConfig, master_seed: int,
 
 def simulate_beams(config: CampaignConfig) -> dict[str, BeamArtifacts]:
     """Every beam of a campaign, simulated once, by beam id."""
-    return {bc.beam_id: simulate_beam(bc, config.master_seed, config.n_modes)
+    return {bc.beam_id: simulate_beam(bc, config.master_seed, config.n_modes,
+                                      config.fe_references[bc.beam_id])
             for bc in config.beams}
 
 
@@ -424,6 +433,28 @@ def _worker_run(task):
     return run_single(artifacts[beam_id], config, nl_index, run_index)
 
 
+def _write_worst_curve(config: CampaignConfig, artifacts: dict, task) -> None:
+    """Write the ANPSD curve of one cell's worst run, re-corrupted as it ran.
+
+    ``task`` is ``(beam_id, nl_index, run_index, path)``.
+    """
+    beam_id, nl_index, run_index, path = task
+    noisy, _ = _noisy_record(artifacts[beam_id], config, nl_index, run_index)
+    curve = anpsd(noisy, config.estimator)
+    write_curve_csv(path, curve.frequencies, curve.values)
+
+
+def _worker_curve(task) -> None:
+    _write_worst_curve(*_WORKER_ARGS, task)
+
+
+def campaign_pool(config: CampaignConfig, artifacts: dict, jobs: int) -> ProcessPoolExecutor:
+    """``jobs`` worker processes that hold ``config`` and its simulated beams,
+    for :func:`run_campaign` and then :func:`summarize_and_tables`."""
+    return ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init,
+                               initargs=(config, artifacts))
+
+
 def _reference_entry(art: BeamArtifacts) -> dict:
     """FE reference modal data of one beam for the report."""
     return {
@@ -551,13 +582,16 @@ def _run_from_dict(d: dict) -> RunResult:
                      tuple(snr) if snr is not None else None, methods)
 
 
-def run_campaign(config: CampaignConfig, jobs: int = 1,
-                 artifacts: dict | None = None) -> BenchmarkReport:
+def run_campaign(config: CampaignConfig, jobs: int = 1, artifacts: dict | None = None,
+                 pool: Executor | None = None) -> BenchmarkReport:
     """Execute the full campaign grid and assemble the report.
 
     ``artifacts`` are the simulated beams (:func:`simulate_beams`), made here
-    when not given.  ``jobs > 1`` hands them to worker processes; results
-    keep the task order, so the report is independent of completion order.
+    when not given.  The runs go to ``pool`` (:func:`campaign_pool` of this
+    config and these beams) when given, else to a pool of ``jobs`` workers
+    when ``jobs > 1``, one run per task so no worker idles while another
+    holds queued runs.  Results keep the task order, so the report is
+    independent of completion order.
     """
     if artifacts is None:
         artifacts = simulate_beams(config)
@@ -565,12 +599,10 @@ def run_campaign(config: CampaignConfig, jobs: int = 1,
     tasks = [(bc.beam_id, nl_index, run) for bc in config.beams
              for nl_index, level in enumerate(config.noise_levels)
              for run in range(1 if level == 0 else config.runs)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init,
-                                 initargs=(config, artifacts)) as pool:
-            results = list(pool.map(_worker_run, tasks, chunksize=4))
-    else:
-        results = [run_single(artifacts[b], config, nl, run) for b, nl, run in tasks]
+    own = campaign_pool(config, artifacts, jobs) if pool is None and jobs > 1 else None
+    with own or nullcontext(pool) as pool:
+        results = (list(pool.map(_worker_run, tasks)) if pool is not None else
+                   [run_single(artifacts[b], config, nl, run) for b, nl, run in tasks])
     reference = {bc.beam_id: _reference_entry(artifacts[bc.beam_id]) for bc in config.beams}
     return BenchmarkReport(config, reference, tuple(results))
 
@@ -578,13 +610,17 @@ def run_campaign(config: CampaignConfig, jobs: int = 1,
 # ---------------------------------------------------------------------------
 # table emission
 
-def summarize_and_tables(report: BenchmarkReport, outdir, artifacts: dict) -> list[str]:
+def summarize_and_tables(report: BenchmarkReport, outdir, artifacts: dict,
+                         pool: Executor | None = None) -> list[str]:
     """Write report.json, the campaign tables and the plot-data CSVs.
 
     ``artifacts`` are the campaign's simulated beams (:func:`simulate_beams`).
     Frequency and mode-shape tables are taken from the worst-case run of
     each (beam, level) cell, selected by the minimum per-mode MAC of the
-    first configured method (PP when present).  Returns the written paths.
+    first configured method (PP when present).  Each cell's ANPSD curve
+    re-corrupts its worst run; with ``pool`` (:func:`campaign_pool` of the
+    report's campaign) the workers write the curves while this process
+    writes the rest.  Returns the written paths.
     """
     config = report.config
     os.makedirs(outdir, exist_ok=True)
@@ -595,12 +631,6 @@ def summarize_and_tables(report: BenchmarkReport, outdir, artifacts: dict) -> li
         written.append(p)
         return p
 
-    report.to_json(path("report.json"))
-    with open(path("config_resolved.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(config.to_dict(), fh, indent=1)
-        fh.write("\n")
-
-    stats = report.mac_statistics()
     methods, modes = config.methods, range(config.n_modes)
     levels = range(len(config.noise_levels))
     tags = [fmt(level) for level in config.noise_levels]
@@ -610,6 +640,20 @@ def summarize_and_tables(report: BenchmarkReport, outdir, artifacts: dict) -> li
     rank_by = "PP" if "PP" in methods else methods[0]
     worst = {(bc.beam_id, nl): report.worst_run(bc.beam_id, nl, rank_by)
              for bc in config.beams for nl in levels}
+    # One curve task per cell: a pool's workers take them all now, while this
+    # process writes the other files; without a pool they run in turn below.
+    curves = {(bc.beam_id, nl): (bc.beam_id, nl, worst[bc.beam_id, nl].run_index,
+                                 os.path.join(outdir, f"anpsd_{bc.beam_id}_{tags[nl]}.csv"))
+              for bc in config.beams for nl in levels}
+    pending = ([pool.submit(_worker_curve, task) for task in curves.values()]
+               if pool is not None else [])
+
+    report.to_json(path("report.json"))
+    with open(path("config_resolved.json"), "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(config.to_dict(), fh, indent=1)
+        fh.write("\n")
+
+    stats = report.mac_statistics()
 
     for bc in config.beams:
         beam_id = bc.beam_id
@@ -632,10 +676,9 @@ def summarize_and_tables(report: BenchmarkReport, outdir, artifacts: dict) -> li
         coords = art.system.channel_coords
         for nl in levels:
             wrun = worst[beam_id, nl]
-            noisy, _ = _noisy_record(art, config, nl, wrun.run_index)
-            curve = anpsd(noisy, config.estimator)
-            write_curve_csv(path(f"anpsd_{beam_id}_{tags[nl]}.csv"),
-                            curve.frequencies, curve.values)
+            written.append(curves[beam_id, nl][-1])
+            if pool is None:
+                _write_worst_curve(config, artifacts, curves[beam_id, nl])
             for k in modes:
                 ref_shape = unit_normalize(art.reference_shapes[:, k])
                 shapes = [wrun.methods[name].modes[k].shape for name in methods]
@@ -654,4 +697,6 @@ def summarize_and_tables(report: BenchmarkReport, outdir, artifacts: dict) -> li
                 rows.append([bc.beam_id, name, str(k + 1),
                              fmt(np.mean(errs) if errs else None)])
     write_csv(path("table_err.csv"), ["beam", "method", "mode", "mean_rel_err_pct"], rows)
+    for future in pending:
+        future.result()  # a worker's error is raised here
     return written

@@ -21,7 +21,7 @@ from omabench.beam import analytical_frequencies, assemble_model, modal_analysis
 from omabench.dsp import (MultiChannelRecord, SpectralEstimatorOptions,
                           csd_matrix, gaussian_white, psd)
 from omabench.freqdom import PeakOptions, anpsd, fdd_identify, pp_identify
-from omabench.harness import (BeamConfig, CampaignConfig, run_campaign,
+from omabench.harness import (BeamConfig, CampaignConfig, campaign_pool, run_campaign,
                               summarize_and_tables)
 from omabench.metrics import mac, pair_to_reference
 from omabench.noise import corrupt, noise_level_to_snr_db
@@ -387,19 +387,20 @@ def test_criterion_7_identifier_scaling(acceptance, cf):
 
 def test_criterion_7_determinism(acceptance, beam_artifacts, tmp_path):
     """Identical configs give identical reports and byte-identical tables,
-    serially and in a two-worker pool."""
+    serially and in a two-worker pool that also writes the tables' curves."""
     cfg = CampaignConfig(beams=(BeamConfig("CF", "CF"),), noise_levels=(0.05,),
                          runs=2, methods=("PP", "SSI"))
     first = run_campaign(cfg, jobs=1)
     second = run_campaign(cfg, jobs=1)
     arts = {"CF": beam_artifacts["CF"]}
-    pooled = run_campaign(cfg, jobs=2, artifacts=arts)
+    dirs = [tmp_path / "a", tmp_path / "b", tmp_path / "pooled"]
+    with campaign_pool(cfg, arts, 2) as pool:
+        pooled = run_campaign(cfg, artifacts=arts, pool=pool)
+        summarize_and_tables(pooled, dirs[2], arts, pool)
     same_results = first.results == second.results == pooled.results
 
-    dirs = [tmp_path / "a", tmp_path / "b", tmp_path / "pooled"]
     paths = summarize_and_tables(first, dirs[0], artifacts=arts)
     summarize_and_tables(second, dirs[1], artifacts=arts)
-    summarize_and_tables(pooled, dirs[2], artifacts=arts)
     names = [p.split("/")[-1] for p in (str(q) for q in paths)]
     same_files = all(filecmp.cmp(dirs[0] / n, other / n, shallow=False)
                      for n in names for other in dirs[1:])

@@ -543,9 +543,9 @@ class TestReport:
 
 class TestFeSolves:
     def test_each_beam_solved_once_per_use(self, tmp_path, monkeypatch, capsys):
-        """A command solves the FE model of each beam its config names once
-        at load and once more per use: bench and report load and simulate
-        two beams, identify loads one beam and takes its reference."""
+        """A command solves the FE model of each beam its config names once,
+        at load, and reads that solution wherever it needs the beam: bench
+        and report load two beams, identify one."""
         solves = []
 
         def counted(*args):
@@ -563,11 +563,11 @@ class TestFeSolves:
 
         bench, report = tmp_path / "bench", tmp_path / "report"
         record, modes = tmp_path / "cf.npz", tmp_path / "modes.csv"
-        assert count("bench", "--config", str(config), "--out", str(bench), "--jobs", "1") == 4
-        assert count("report", "--in", str(bench / "report.json"), "--out", str(report)) == 4
+        assert count("bench", "--config", str(config), "--out", str(bench), "--jobs", "1") == 2
+        assert count("report", "--in", str(bench / "report.json"), "--out", str(report)) == 2
         assert count("simulate", "--beam", "CF", "--duration", "1.0", "--out", str(record)) == 1
         assert count("identify", "--in", str(record), "--method", "pp", "--beam", "CF",
-                     "--out", str(modes)) == 2
+                     "--out", str(modes)) == 1
         capsys.readouterr()
 
 

@@ -12,10 +12,10 @@ import pytest
 
 from omabench.dsp import (MultiChannelRecord, SpectralEstimatorOptions,
                           SpectralMatrix, csd_matrix, gaussian_white, psd)
-from omabench.freqdom import (PeakOptions, _first_singular_values, align_to_real,
-                              anpsd, anpsd_from_densities, fdd_identify, fdd_shape_at,
-                              pick_peaks, pp_identify, pp_shape_at, unit_normalize,
-                              write_curve_csv)
+from omabench.freqdom import (PeakOptions, _first_singular_values, _lines_nearest,
+                              align_to_real, anpsd, anpsd_from_densities, fdd_identify,
+                              fdd_shape_at, pick_peaks, pp_identify, pp_shape_at,
+                              unit_normalize, write_curve_csv)
 from omabench.harness import CampaignConfig
 from omabench.metrics import mac, pair_to_reference
 
@@ -390,6 +390,79 @@ class TestFddIdentify:
             fdd_identify(g, CAMPAIGN.peaks)
         with pytest.raises(ValueError, match="CSD line"):
             pp_identify(g, CAMPAIGN.peaks)
+
+
+class TestBatchedShapeReads:
+    """A sequence of frequencies reads each line as one call per frequency
+    does, bit for bit."""
+
+    FREQS = [51.3, 8.0, 280.9, 8.0, 144.6, 463.9]
+
+    def test_pp_equals_per_frequency_calls(self, noisy_record):
+        g = csd_matrix(noisy_record("CF", 0.5), CAMPAIGN.estimator)
+        batched = pp_shape_at(g, 3, self.FREQS)
+        assert len(batched) == len(self.FREQS)
+        for f, shape in zip(self.FREQS, batched):
+            line = g.values[int(np.argmin(np.abs(g.frequencies - f)))]
+            col = line[:, 3]
+            by_formula = unit_normalize(np.abs(col) / line[3, 3].real * np.where(
+                np.abs(np.angle(col)) < np.pi / 2.0, 1.0, -1.0))
+            assert np.array_equal(shape, pp_shape_at(g, 3, f))
+            assert np.array_equal(shape, by_formula)
+
+    def test_fdd_equals_per_frequency_calls(self, noisy_record):
+        g = csd_matrix(noisy_record("CF", 0.5), CAMPAIGN.estimator)
+        batched = fdd_shape_at(g, self.FREQS)
+        assert len(batched) == len(self.FREQS)
+        for f, shape in zip(self.FREQS, batched):
+            _, vecs = np.linalg.eigh(g.values[int(np.argmin(np.abs(g.frequencies - f)))])
+            assert np.array_equal(shape, fdd_shape_at(g, f))
+            assert np.array_equal(shape, unit_normalize(align_to_real(vecs[:, -1])))
+
+    def test_empty_sequence(self, noisy_record):
+        g = csd_matrix(noisy_record("CF", 0.5), CAMPAIGN.estimator)
+        assert pp_shape_at(g, 0, []) == []
+        assert fdd_shape_at(g, []) == []
+
+    @staticmethod
+    def _two_bumps():
+        """Modes at 20 and 40 Hz on three channels; channel 0 is still at 40 Hz,
+        where its auto-spectrum is exactly zero."""
+        f = np.arange(200) * 0.5
+        phi = np.array([[1.0, 0.5, -0.3], [0.0, 1.0, 0.8]])
+        s = np.maximum(0.0, 1.0 - np.abs(f[:, None] - [20.0, 40.0]) / 3.0)
+        g = np.einsum("fm,mj,mk->fjk", s, phi, phi).astype(complex)
+        return SpectralMatrix(f, g, np.real(np.einsum("fii->if", g)))
+
+    def test_nearest_line_matches_argmin(self):
+        """Midpoints go to the lower line and frequencies off the grid to its
+        ends, as argmin's first minimum does."""
+        g = self._two_bumps()
+        f = g.frequencies
+        probes = np.concatenate([f, (f[:-1] + f[1:]) / 2, [-3.0, 1e6],
+                                 np.random.default_rng(0).uniform(-1.0, 101.0, 200)])
+        nearest = [int(np.argmin(np.abs(f - x))) for x in probes]
+        assert np.array_equal(_lines_nearest(g, probes), g.values[nearest])
+
+    def test_pp_vanishing_reference_line(self):
+        """A line with no reference power reads None amid live lines, and
+        pp_identify drops that peak with its note."""
+        g = self._two_bumps()
+        batched = pp_shape_at(g, 0, [20.0, 40.0, 21.0])
+        assert batched[1] is None and pp_shape_at(g, 0, 40.0) is None
+        for f, shape in zip((20.0, 21.0), batched[::2]):
+            assert np.array_equal(shape, pp_shape_at(g, 0, f))
+        mode_set = pp_identify(g, PeakOptions(), reference_channel=0)
+        assert [m.frequency for m in mode_set.modes] == [20.0]
+        assert "dropped_peak_at=40.000Hz (zero reference auto-spectrum)" in mode_set.notes
+
+    def test_read_past_stored_lines_raises(self, noisy_record):
+        """One line past the stored ones fails the whole read and is named."""
+        g = csd_matrix(noisy_record("CF", 0.5), CAMPAIGN.estimator, f_max=300.0)
+        with pytest.raises(ValueError, match=r"CSD line 500 \(500 Hz\)"):
+            pp_shape_at(g, 0, [100.0, 500.0, 200.0])
+        with pytest.raises(ValueError, match=r"CSD line 500 \(500 Hz\)"):
+            fdd_shape_at(g, [100.0, 500.0, 200.0])
 
 
 class TestMethodAgreement:

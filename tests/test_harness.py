@@ -21,8 +21,8 @@ import pytest
 from omabench.dsp import SpectralEstimatorOptions, csd_matrix
 from omabench.freqdom import PeakOptions
 from omabench.harness import (BeamConfig, CampaignConfig, BenchmarkReport, MethodResult,
-                              ModeOutcome, default_beams, fe_reference, identify_record,
-                              run_campaign, run_single, summarize_and_tables)
+                              ModeOutcome, campaign_pool, default_beams, fe_reference,
+                              identify_record, run_campaign, run_single, summarize_and_tables)
 from omabench.metrics import PairingOptions
 from omabench.ssi import SsiOptions
 
@@ -517,6 +517,24 @@ class TestTables:
             fh.readline()
             for line in fh:
                 assert "-" not in line.strip().split(",")[3:]
+
+    def test_pooled_curves_byte_identical(self, beam_artifacts, tmp_path):
+        """Writing the ANPSD curves in a campaign pool writes the files, and
+        lists the paths, that the serial table stage does."""
+        cfg = small_config(beams=(BeamConfig("CF", "CF"), BeamConfig("CC", "CC")),
+                           noise_levels=(0.5, 2.0), runs=2, methods=("PP", "FDD"))
+        arts = {b: beam_artifacts[b] for b in ("CF", "CC")}
+        report = run_campaign(cfg, artifacts=arts)
+        serial = summarize_and_tables(report, tmp_path / "serial", arts)
+        with campaign_pool(cfg, arts, 2) as pool:
+            pooled = summarize_and_tables(report, tmp_path / "pooled", arts, pool)
+        names = [os.path.basename(p) for p in serial]
+        assert [os.path.basename(p) for p in pooled] == names
+        assert sum(n.startswith("anpsd_") for n in names) == 4
+        assert sorted(os.listdir(tmp_path / "pooled")) == sorted(names)
+        for name in names:
+            assert filecmp.cmp(tmp_path / "serial" / name, tmp_path / "pooled" / name,
+                               shallow=False), name
 
     def test_rerun_byte_identical(self, cf_campaign, beam_artifacts, outdir,
                                   tmp_path):
