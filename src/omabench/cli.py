@@ -18,8 +18,8 @@ import numpy as np
 from .beam import SUPPORTS
 from .dsp import MultiChannelRecord, fmt, write_csv
 from .harness import (BeamConfig, BenchmarkReport, CampaignConfig, DEFAULT_SEED,
-                      campaign_pool, identify_record, run_campaign, simulate_beam,
-                      simulate_beams, summarize_and_tables)
+                      METHOD_NAMES, campaign_pool, fe_reference, identify_record,
+                      run_campaign, simulate_beam, simulate_beams, summarize_and_tables)
 from .noise import corrupt, noise_level_to_snr_db
 
 __all__ = ["main", "run_cli", "resolve_jobs", "DEFAULT_SEED"]
@@ -79,7 +79,7 @@ def _build_parser() -> _Parser:
 
     idf = sub.add_parser("identify", help="run one identifier and pair to the FE reference")
     idf.add_argument("--in", dest="infile", required=True)
-    idf.add_argument("--method", required=True, choices=("pp", "fdd", "ssi"))
+    idf.add_argument("--method", required=True, choices=[m.lower() for m in METHOD_NAMES])
     idf.add_argument("--beam", required=True, choices=SUPPORTS,
                      help="beam whose FE modes serve as reference")
     idf.add_argument("--out", required=True, help="output mode table (.csv)")
@@ -103,7 +103,7 @@ def _build_parser() -> _Parser:
 def _cmd_simulate(args) -> int:
     bc = BeamConfig(args.beam, args.beam, n_elements=args.elements,
                     dt=args.dt, duration=args.duration)
-    art = simulate_beam(bc, args.seed, n_modes=1)  # a record needs a channel, not n_modes modes
+    art = simulate_beam(bc, args.seed, 1)  # a record needs a channel, not n_modes modes
     _save_record(art.clean_record, args.out)
     rec = art.clean_record
     print(f"wrote {args.out}: {rec.n_channels} channels x {rec.n_samples} samples "
@@ -131,9 +131,9 @@ def _cmd_identify(args) -> int:
     """Score a record as a campaign cell is scored, with the campaign settings."""
     record = _load_record(args.infile)
     method = args.method.upper()
-    config = CampaignConfig(beams=(BeamConfig(args.beam, args.beam),), n_modes=args.modes,
-                            methods=(method,))
-    art = config.fe_references[args.beam]
+    bc = BeamConfig(args.beam, args.beam)
+    config = CampaignConfig(beams=(bc,), n_modes=args.modes, methods=(method,))
+    art = fe_reference(bc, args.modes)
     result = identify_record(record, art, config)[method]
     if result.failed:
         raise ValueError(result.notes[0].removeprefix("failed: "))
@@ -195,7 +195,7 @@ def run_cli(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, KeyError, np.linalg.LinAlgError) as exc:
+    except (ValueError, OSError, np.linalg.LinAlgError) as exc:
         print(f"omabench: {args.command} failed: {exc}", file=sys.stderr)
         return 2
 

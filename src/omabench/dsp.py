@@ -178,6 +178,9 @@ class MultiChannelRecord:
     @classmethod
     def from_npz(cls, path) -> "MultiChannelRecord":
         with np.load(path) as z:
+            missing = {"sample_rate", "data", "labels"}.difference(z.files)
+            if missing:
+                raise ValueError(f"record npz has no {', '.join(sorted(missing))} array")
             return cls(float(z["sample_rate"]), z["data"],
                        tuple(str(s) for s in z["labels"]))
 

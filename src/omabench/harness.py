@@ -17,7 +17,7 @@ from collections import Counter
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, field, fields, replace
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -86,6 +86,8 @@ class BeamConfig:
     force_rms: float = 0.2
 
     def __post_init__(self):
+        # A tuple, so the beam is hashable: it keys fe_reference's cache.
+        object.__setattr__(self, "force_band", tuple(self.force_band))
         if not self.beam_id:
             raise ValueError("beam_id must be non-empty")
         if self.dt <= 0 or self.duration <= 0:
@@ -108,9 +110,7 @@ class CampaignConfig:
     """Fully resolved campaign settings (see :func:`CampaignConfig.from_dict`).
 
     The field order and nesting are those of the JSON form.  Loading checks
-    every beam with :func:`fe_reference` and keeps the results, by beam id,
-    in ``fe_references``, an attribute outside the fields: it is neither
-    encoded nor compared.
+    every beam with :func:`fe_reference`, which keeps the solution.
     """
 
     master_seed: int = DEFAULT_SEED
@@ -143,14 +143,12 @@ class CampaignConfig:
         ids = [b.beam_id for b in self.beams]
         if len(set(ids)) != len(ids):
             raise ValueError("beam ids must be unique")
-        references = {}
         for bc in self.beams:  # fe_reference raises for a beam that cannot serve
-            references[bc.beam_id] = fe_reference(bc, self.n_modes)
+            n_channels = fe_reference(bc, self.n_modes).system.n_channels
             try:
-                self.ssi.resolve_orders(references[bc.beam_id].system.n_channels)
+                self.ssi.resolve_orders(n_channels)
             except ValueError as exc:
                 raise ValueError(f"ssi.orders for beam {bc.beam_id}: {exc}") from None
-        object.__setattr__(self, "fe_references", references)
 
     def to_dict(self) -> dict:
         return {"schema_version": SCHEMA_VERSION, **json.loads(_JSON.encode(self))}
@@ -171,18 +169,9 @@ class CampaignConfig:
         return _build(cls, doc)
 
 
-@cache
-def _field_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
-
-
-def _fields(value) -> dict:
-    """JSON object of a dataclass, by field; the encoder does everything else."""
-    return {name: getattr(value, name) for name in _field_names(type(value))}
-
-
-# Dataclasses become objects, tuples lists; the C encoder walks the rest.
-_JSON = json.JSONEncoder(default=_fields)
+# Dataclasses become objects (their ``__dict__`` is their fields, in order),
+# tuples lists; the C encoder walks the rest.
+_JSON = json.JSONEncoder(default=vars)
 
 
 def _object(value, where: str) -> dict:
@@ -257,9 +246,15 @@ class BeamArtifacts:
     clean_record: MultiChannelRecord | None = None  # None from fe_reference()
 
 
-def fe_reference(bc: BeamConfig, n_modes: int = CampaignConfig.n_modes) -> BeamArtifacts:
+@lru_cache(maxsize=16)
+def fe_reference(bc: BeamConfig, n_modes: int, /) -> BeamArtifacts:
     """Assemble and solve one beam and keep its lowest ``n_modes`` FE modes; no
-    transient.  A beam without a measurement channel or ``n_modes`` modes raises."""
+    transient.  A beam without a measurement channel or ``n_modes`` modes raises.
+
+    The last 16 ``(bc, n_modes)`` solves are kept per process; both arguments
+    are positional, so each pair has one cache key.  Every caller shares the
+    result, so its reference arrays are read-only.
+    """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     model = bc.model()
@@ -270,19 +265,19 @@ def fe_reference(bc: BeamConfig, n_modes: int = CampaignConfig.n_modes) -> BeamA
     if modal.n_modes < n_modes:
         raise ValueError(f"beam {bc.beam_id} has {modal.n_modes} FE modes, "
                          f"fewer than n_modes = {n_modes}")
-    return BeamArtifacts(bc, system, modal, modal.frequencies[:n_modes],
-                         modal.channel_shapes(system)[:, :n_modes])
+    shapes = modal.channel_shapes(system)[:, :n_modes]
+    shapes.flags.writeable = False  # a fancy-indexed copy; the frequencies already are
+    return BeamArtifacts(bc, system, modal, modal.frequencies[:n_modes], shapes)
 
 
-def simulate_beam(bc: BeamConfig, master_seed: int, n_modes: int = CampaignConfig.n_modes,
-                  reference: BeamArtifacts | None = None) -> BeamArtifacts:
-    """Simulate one beam with derived excitation seeds.
+def simulate_beam(bc: BeamConfig, master_seed: int,
+                  n_modes: int = CampaignConfig.n_modes) -> BeamArtifacts:
+    """Simulate one beam's :func:`fe_reference` with derived excitation seeds.
 
     Every free vertical DOF is driven by an independent band-limited force;
-    all FE modes participate in the response.  ``reference`` is the beam's
-    :func:`fe_reference` when it is already solved; else it is solved here.
+    all FE modes participate in the response.
     """
-    ref = reference if reference is not None else fe_reference(bc, n_modes)
+    ref = fe_reference(bc, n_modes)
     rate = 1.0 / bc.dt
     labels = ref.system.channel_labels
     seeds = [derive_seed(master_seed, "force", bc.beam_id, label) for label in labels]
@@ -295,8 +290,7 @@ def simulate_beam(bc: BeamConfig, master_seed: int, n_modes: int = CampaignConfi
 
 def simulate_beams(config: CampaignConfig) -> dict[str, BeamArtifacts]:
     """Every beam of a campaign, simulated once, by beam id."""
-    return {bc.beam_id: simulate_beam(bc, config.master_seed, config.n_modes,
-                                      config.fe_references[bc.beam_id])
+    return {bc.beam_id: simulate_beam(bc, config.master_seed, config.n_modes)
             for bc in config.beams}
 
 
@@ -553,6 +547,9 @@ class BenchmarkReport:
 
     @classmethod
     def from_json(cls, path) -> "BenchmarkReport":
+        """Load a stored report.  A missing key, or a result that does not fit
+        the report's config (a beam or level index it lacks, other methods,
+        or not ``n_modes`` modes), raises ``ValueError``."""
         # Decoding and building the results make millions of objects and no
         # reference cycle, so the cyclic collector is paused: each of its
         # passes on the way would scan every container made so far.
@@ -561,25 +558,52 @@ class BenchmarkReport:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-            results = tuple(_run_from_dict(d) for d in doc["results"])
+            try:
+                config, reference, stored = doc["config"], doc["reference"], doc["results"]
+            except KeyError as exc:
+                raise ValueError(f"report has no key {exc}") from None
+            config = CampaignConfig.from_dict(config)
+            results = tuple(_run_from_dict(d, i, config) for i, d in enumerate(stored))
         finally:
             if gc_enabled:
                 gc.enable()
-        return cls(CampaignConfig.from_dict(doc["config"]), doc["reference"], results)
+        return cls(config, reference, results)
 
 
-def _run_from_dict(d: dict) -> RunResult:
-    methods = {}
-    for name, md in d["methods"].items():
-        modes = tuple(ModeOutcome(o["identified"], o["frequency"], o["mac"],
-                                  o["rel_err_pct"],
-                                  tuple(o["shape"]) if o["shape"] is not None else None)
-                      for o in md["modes"])
-        methods[name] = MethodResult(md["failed"], tuple(md["notes"]),
-                                     tuple(md["identified_frequencies"]), modes)
-    snr = d["snr_db"]
-    return RunResult(d["beam_id"], d["noise_level"], d["nl_index"], d["run_index"],
-                     tuple(snr) if snr is not None else None, methods)
+def _misfit(run: RunResult, config: CampaignConfig) -> str | None:
+    """Why ``run`` cannot be a result of ``config``'s campaign, if it cannot."""
+    if not any(bc.beam_id == run.beam_id for bc in config.beams):
+        return f"beam {run.beam_id!r} is not a config beam"
+    if run.nl_index not in range(len(config.noise_levels)):
+        return f"nl_index {run.nl_index!r} is not an index of the noise levels"
+    if sorted(run.methods) != sorted(config.methods):
+        return f"methods {list(run.methods)} are not the config's {list(config.methods)}"
+    for name, result in run.methods.items():
+        if len(result.modes) != config.n_modes:
+            return f"{name} has {len(result.modes)} modes, not n_modes = {config.n_modes}"
+    return None
+
+
+def _run_from_dict(d: dict, index: int, config: CampaignConfig) -> RunResult:
+    """Result ``index`` of a stored report, checked against its config."""
+    try:
+        methods = {}
+        for name, md in d["methods"].items():
+            modes = tuple(ModeOutcome(o["identified"], o["frequency"], o["mac"],
+                                      o["rel_err_pct"],
+                                      tuple(o["shape"]) if o["shape"] is not None else None)
+                          for o in md["modes"])
+            methods[name] = MethodResult(md["failed"], tuple(md["notes"]),
+                                         tuple(md["identified_frequencies"]), modes)
+        snr = d["snr_db"]
+        run = RunResult(d["beam_id"], d["noise_level"], d["nl_index"], d["run_index"],
+                        tuple(snr) if snr is not None else None, methods)
+    except KeyError as exc:
+        raise ValueError(f"report result {index} has no key {exc}") from None
+    problem = _misfit(run, config)
+    if problem is not None:
+        raise ValueError(f"report result {index} does not fit its config: {problem}")
+    return run
 
 
 def run_campaign(config: CampaignConfig, jobs: int = 1, artifacts: dict | None = None,
@@ -623,7 +647,6 @@ def summarize_and_tables(report: BenchmarkReport, outdir, artifacts: dict,
     writes the rest.  Returns the written paths.
     """
     config = report.config
-    os.makedirs(outdir, exist_ok=True)
     written = []
 
     def path(name):
@@ -645,6 +668,7 @@ def summarize_and_tables(report: BenchmarkReport, outdir, artifacts: dict,
     curves = {(bc.beam_id, nl): (bc.beam_id, nl, worst[bc.beam_id, nl].run_index,
                                  os.path.join(outdir, f"anpsd_{bc.beam_id}_{tags[nl]}.csv"))
               for bc in config.beams for nl in levels}
+    os.makedirs(outdir, exist_ok=True)  # only once every cell has a worst run
     pending = ([pool.submit(_worker_curve, task) for task in curves.values()]
                if pool is not None else [])
 

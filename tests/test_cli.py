@@ -17,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from omabench import cli
+from omabench import cli, harness
 from omabench.cli import DEFAULT_SEED, resolve_jobs, run_cli
 from omabench.beam import modal_analysis
 from omabench.dsp import MultiChannelRecord
@@ -159,6 +159,23 @@ class TestExitCodes:
         assert "record CSV time steps must be uniform" in err
         assert "config key 'noise_levels[0]' must be a finite number" in err
         assert "config key 'peaks.prominence_db' must be a finite number" in err
+
+    def test_programming_errors_propagate(self, tmp_path, monkeypatch):
+        """A KeyError is a programming error, not a data failure: no exit 2."""
+        def broken(path):
+            raise KeyError("injected")
+
+        monkeypatch.setattr(cli, "_load_record", broken)
+        with pytest.raises(KeyError, match="injected"):
+            run_cli(["corrupt", "--in", str(tmp_path / "rec.csv"), "--nl", "0.5",
+                     "--out", str(tmp_path / "x.csv")])
+
+    def test_npz_without_an_array_exits_two(self, tmp_path, capsys):
+        rec_path = tmp_path / "rec.npz"
+        np.savez(rec_path, sample_rate=100.0, data=np.ones((1, 8)))
+        assert run_cli(["corrupt", "--in", str(rec_path), "--nl", "0.5",
+                        "--out", str(tmp_path / "x.npz")]) == 2
+        assert "record npz has no labels array" in capsys.readouterr().err
 
     def test_module_entry_point(self):
         """``python -m omabench.cli`` runs the command line."""
@@ -516,6 +533,32 @@ class TestReport:
         assert json.loads((target / "config_resolved.json").read_text()) == resolved
         assert json.loads((target / "report.json").read_text())["config"] == resolved
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["config"].update(n_modes=6),
+         "report result 0 does not fit its config: PP has 5 modes, not n_modes = 6"),
+        (lambda doc: [r["methods"].pop("PP") for r in doc["results"]],
+         "report result 0 does not fit its config: methods [] are not the config's ['PP']"),
+        (lambda doc: doc["results"][1].pop("snr_db"), "report result 1 has no key 'snr_db'"),
+        (lambda doc: doc["results"][1].update(beam_id="SS"),
+         "report result 1 does not fit its config: beam 'SS' is not a config beam"),
+        (lambda doc: doc["results"][0].update(nl_index=1),
+         "report result 0 does not fit its config: nl_index 1 is not an index"),
+        (lambda doc: doc.pop("reference"), "report has no key 'reference'"),
+        (lambda doc: doc["results"].clear(), "no runs for beam CF at level index 0")],
+        ids=["n_modes", "method", "snr_db", "beam", "nl_index", "reference", "no_runs"])
+    def test_report_disagreeing_with_config_exits_before_out(self, bench_out, tmp_path,
+                                                            edit, message, capsys):
+        """A stored report whose results do not fit its config, or that lacks
+        a key, exits 2 naming the problem and writes nothing."""
+        _, outdir, _ = bench_out
+        doc = json.loads((outdir / "report.json").read_text())
+        edit(doc)
+        source, target = tmp_path / "edited.json", tmp_path / "out"
+        source.write_text(json.dumps(doc))
+        assert run_cli(["report", "--in", str(source), "--out", str(target)]) == 2
+        assert message in capsys.readouterr().err
+        assert not target.exists()
+
     def test_interrupted_rewrite_keeps_input(self, bench_out, tmp_path, monkeypatch, capsys):
         """report with no --out rewrites its input; a write that fails
         partway leaves the input's bytes and no temporary file behind."""
@@ -556,7 +599,8 @@ class TestFeSolves:
         config = tmp_path / "two.json"
         config.write_text(json.dumps(TWO_BEAM_CONFIG))
 
-        def count(*argv):
+        def count(*argv):  # the solves of one command, as in its own process
+            harness.fe_reference.cache_clear()
             solves.clear()
             assert run_cli(list(argv)) == 0
             return len(solves)

@@ -13,16 +13,17 @@ import json
 import math
 import os
 import re
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
 from omabench.dsp import SpectralEstimatorOptions, csd_matrix
 from omabench.freqdom import PeakOptions
-from omabench.harness import (BeamConfig, CampaignConfig, BenchmarkReport, MethodResult,
-                              ModeOutcome, campaign_pool, default_beams, fe_reference,
-                              identify_record, run_campaign, run_single, summarize_and_tables)
+from omabench.harness import (_JSON, BeamConfig, CampaignConfig, BenchmarkReport,
+                              MethodResult, ModeOutcome, RunResult, campaign_pool,
+                              default_beams, fe_reference, identify_record, run_campaign,
+                              run_single, simulate_beams, summarize_and_tables)
 from omabench.metrics import PairingOptions
 from omabench.ssi import SsiOptions
 
@@ -172,7 +173,7 @@ class TestConfig:
     @pytest.mark.parametrize("beam", default_beams(), ids=lambda b: b.beam_id)
     def test_record_outlasts_fundamental_decay(self, beam):
         """The record is at least 1 / (f1 zeta) long, 4.9 s for CF's 8.2 Hz."""
-        f1 = fe_reference(beam).reference_frequencies[0]
+        f1 = fe_reference(beam, 5).reference_frequencies[0]
         assert beam.duration >= 1.0 / (f1 * beam.damping_ratio)
 
     def test_beam_config_round_trip(self):
@@ -180,6 +181,57 @@ class TestConfig:
         doc = small_config(beams=(bc,)).to_dict()
         assert doc["beams"][0]["force_band"] == [1.0, 1500.0]
         assert CampaignConfig.from_dict(doc).beams == (bc,)
+
+    def test_force_band_list_is_the_tuple_form(self):
+        """A list force band from Python code loads, hashes and encodes as
+        the tuple form, so both share one FE reference."""
+        listed = BeamConfig("A", "CF", force_band=[1.0, 1500.0])
+        tupled = BeamConfig("A", "CF", force_band=(1.0, 1500.0))
+        assert listed.force_band == (1.0, 1500.0)
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert _JSON.encode(listed) == _JSON.encode(tupled)
+        assert fe_reference(listed, 5) is fe_reference(tupled, 5)
+
+    def test_encoded_keys_are_the_fields(self):
+        """The JSON object of every config class holds its fields, in order."""
+        config = small_config(ssi=SsiOptions(orders=(4, 8)))
+        doc = json.loads(_JSON.encode(config))
+        assert list(doc) == [f.name for f in fields(CampaignConfig)]
+        for key in ("pairing", "estimator", "peaks", "ssi"):
+            assert list(doc[key]) == [f.name for f in fields(getattr(config, key))], key
+        assert list(doc["beams"][0]) == [f.name for f in fields(BeamConfig)]
+        assert vars(config).keys() == {f.name for f in fields(CampaignConfig)}
+
+
+class TestFeReference:
+    def test_solved_once_per_beam_and_mode_count(self):
+        bc = BeamConfig("memo", "SS", duration=1.0)
+        assert fe_reference(bc, 5) is fe_reference(bc, 5)
+        assert fe_reference(bc, 3) is not fe_reference(bc, 5)
+        assert fe_reference(bc, 3).reference_frequencies.size == 3
+        with pytest.raises(TypeError):  # one way to write each cache key
+            fe_reference(bc, n_modes=5)
+
+    def test_reference_arrays_read_only(self):
+        ref = fe_reference(BeamConfig("CF", "CF"), 5)
+        for values in (ref.reference_frequencies, ref.reference_shapes):
+            assert not values.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
+
+    def test_loaded_config_simulates_without_solving(self, monkeypatch):
+        """Loading a config solves every beam; simulating reuses those solutions."""
+        config = CampaignConfig.from_dict({"beams": [
+            {"beam_id": "CF", "support": "CF", "duration": 1.0},
+            {"beam_id": "CS", "support": "CS", "duration": 1.0}]})
+
+        def no_solve(*args):
+            raise AssertionError("simulate_beams solved a beam again")
+
+        monkeypatch.setattr("omabench.harness.modal_analysis", no_solve)
+        artifacts = simulate_beams(config)
+        assert sorted(artifacts) == ["CF", "CS"]
+        assert artifacts["CF"].modal is fe_reference(config.beams[0], 5).modal
 
 
 @pytest.fixture(scope="module")
@@ -425,6 +477,15 @@ class TestReportStatistics:
         back = BenchmarkReport.from_json(path)
         assert back.results == (odd,)
         assert back.failure_counts == {"SSI": 1}
+
+    def test_json_result_keys_are_the_fields(self):
+        outcome = ModeOutcome(True, 8.2, 0.99, 0.1, (1.0, 0.5))
+        run = RunResult("CF", 0.5, 0, 0, (6.0,),
+                        {"PP": MethodResult(False, (), (8.2,), (outcome,))})
+        doc = json.loads(_JSON.encode(run))
+        assert list(doc) == [f.name for f in fields(RunResult)]
+        assert list(doc["methods"]["PP"]) == [f.name for f in fields(MethodResult)]
+        assert list(doc["methods"]["PP"]["modes"][0]) == [f.name for f in fields(ModeOutcome)]
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_from_json_restores_collector(self, cf_campaign, tmp_path, enabled):
