@@ -174,9 +174,9 @@ class CampaignConfig:
 _JSON = json.JSONEncoder(default=vars)
 
 
-def _object(value, where: str) -> dict:
+def _object(value, what: str) -> dict:
     if not isinstance(value, dict):
-        raise ValueError(f"config {where!r} must be an object")
+        raise ValueError(f"{what} must be an object")
     return value
 
 
@@ -206,7 +206,7 @@ def _from_json(annotation: str, value, where: str):
         return None
     kind, _, items = annotation.removesuffix(" | None").partition("[")
     if kind in _SECTIONS:
-        return _build(_SECTIONS[kind], _object(value, where), where + ".")
+        return _build(_SECTIONS[kind], _object(value, f"config {where!r}"), where + ".")
     if kind == "tuple":
         if not isinstance(value, list):
             raise ValueError(f"config key {where!r} must be a list")
@@ -449,23 +449,22 @@ def campaign_pool(config: CampaignConfig, artifacts: dict, jobs: int) -> Process
                                initargs=(config, artifacts))
 
 
-def _reference_entry(art: BeamArtifacts) -> dict:
-    """FE reference modal data of one beam for the report."""
-    return {
-        "frequencies": art.reference_frequencies.tolist(),
-        "channel_shapes": art.reference_shapes.T.tolist(),
-        "channel_coords": art.system.channel_coords.tolist(),
-        "channel_labels": list(art.system.channel_labels),
-    }
-
-
 @dataclass(frozen=True)
 class BenchmarkReport:
-    """Everything a campaign produced, JSON round-trippable."""
+    """A campaign's config and results, JSON round-trippable; every other
+    report section, the FE reference included, is derived from them."""
 
     config: CampaignConfig
-    reference: dict
     results: tuple[RunResult, ...]
+
+    @cached_property
+    def reference(self) -> dict:
+        """FE reference modal data of each config beam, by beam id."""
+        return {art.config.beam_id: {"frequencies": art.reference_frequencies.tolist(),
+                                     "channel_shapes": art.reference_shapes.T.tolist(),
+                                     "channel_coords": art.system.channel_coords.tolist(),
+                                     "channel_labels": list(art.system.channel_labels)}
+                for art in (fe_reference(bc, self.config.n_modes) for bc in self.config.beams)}
 
     @cached_property
     def failure_counts(self) -> dict:
@@ -475,18 +474,21 @@ class BenchmarkReport:
 
     @cached_property
     def _cells(self) -> dict:
-        """Results grouped by (beam_id, nl_index), in report order."""
-        cells: dict = {}
+        """The runs of every (beam_id, nl_index) of the config, in config
+        order; each cell's runs in report order."""
+        cells = {(bc.beam_id, nl_index): [] for bc in self.config.beams
+                 for nl_index in range(len(self.config.noise_levels))}
         for r in self.results:
-            cells.setdefault((r.beam_id, r.nl_index), []).append(r)
+            cells[r.beam_id, r.nl_index].append(r)
         return cells
 
     def runs_for(self, beam_id: str, nl_index: int) -> list[RunResult]:
         return list(self._cells.get((beam_id, nl_index), ()))
 
     def worst_run(self, beam_id: str, nl_index: int, method: str) -> RunResult:
-        """Run minimizing the minimum per-mode MAC of ``method`` at this level."""
-        runs = self.runs_for(beam_id, nl_index)
+        """Run minimizing the minimum per-mode MAC of ``method`` at this level;
+        a tie goes to the lower ``run_index``."""
+        runs = self._cells.get((beam_id, nl_index))
         if not runs:
             raise ValueError(f"no runs for beam {beam_id} at level index {nl_index}")
         return min(runs, key=lambda r: (min(o.mac for o in r.methods[method].modes),
@@ -498,20 +500,17 @@ class BenchmarkReport:
 
     @cached_property
     def _mac_statistics(self) -> dict:
-        stats: dict = {}
         config = self.config
-        for bc in config.beams:
-            per_mode = {name: [{} for _ in range(config.n_modes)] for name in config.methods}
-            for nl_index in range(len(config.noise_levels)):
-                runs = self.runs_for(bc.beam_id, nl_index)
-                for name in config.methods:
-                    for k in range(config.n_modes):
-                        macs = [r.methods[name].modes[k].mac for r in runs]
-                        if macs:
-                            per_mode[name][k][nl_index] = {"min": float(np.min(macs)),
-                                                           "mean": float(np.mean(macs)),
-                                                           "std": float(np.std(macs))}
-            stats[bc.beam_id] = per_mode
+        stats = {bc.beam_id: {name: [{} for _ in range(config.n_modes)]
+                              for name in config.methods} for bc in config.beams}
+        # zip gives one tuple of outcomes per mode, and none for a cell with no runs.
+        for (beam_id, nl_index), runs in self._cells.items():
+            for name in config.methods:
+                for k, outcomes in enumerate(zip(*(r.methods[name].modes for r in runs))):
+                    macs = [o.mac for o in outcomes]
+                    stats[beam_id][name][k][nl_index] = {"min": float(np.min(macs)),
+                                                         "mean": float(np.mean(macs)),
+                                                         "std": float(np.std(macs))}
         return stats
 
     def to_json(self, path) -> None:
@@ -547,9 +546,11 @@ class BenchmarkReport:
 
     @classmethod
     def from_json(cls, path) -> "BenchmarkReport":
-        """Load a stored report.  A missing key, or a result that does not fit
-        the report's config (a beam or level index it lacks, other methods,
-        or not ``n_modes`` modes), raises ``ValueError``."""
+        """Load a stored report's config and results.  A missing key, a
+        non-object where an object belongs, a ``results`` that is not a list,
+        or a result that does not fit the report's config (a beam or level
+        index it lacks, other methods, not ``n_modes`` modes, or a shape that
+        is not one entry per channel of its beam), raises ``ValueError``."""
         # Decoding and building the results make millions of objects and no
         # reference cycle, so the cyclic collector is paused: each of its
         # passes on the way would scan every container made so far.
@@ -559,51 +560,68 @@ class BenchmarkReport:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
             try:
-                config, reference, stored = doc["config"], doc["reference"], doc["results"]
+                config, stored = _object(doc, "a report")["config"], doc["results"]
             except KeyError as exc:
                 raise ValueError(f"report has no key {exc}") from None
+            if not isinstance(stored, list):
+                raise ValueError("report key 'results' must be a list")
             config = CampaignConfig.from_dict(config)
             results = tuple(_run_from_dict(d, i, config) for i, d in enumerate(stored))
         finally:
             if gc_enabled:
                 gc.enable()
-        return cls(config, reference, results)
+        return cls(config, results)
 
 
 def _misfit(run: RunResult, config: CampaignConfig) -> str | None:
     """Why ``run`` cannot be a result of ``config``'s campaign, if it cannot."""
-    if not any(bc.beam_id == run.beam_id for bc in config.beams):
+    beam = next((bc for bc in config.beams if bc.beam_id == run.beam_id), None)
+    if beam is None:
         return f"beam {run.beam_id!r} is not a config beam"
     if run.nl_index not in range(len(config.noise_levels)):
         return f"nl_index {run.nl_index!r} is not an index of the noise levels"
     if sorted(run.methods) != sorted(config.methods):
         return f"methods {list(run.methods)} are not the config's {list(config.methods)}"
+    n_channels = fe_reference(beam, config.n_modes).system.n_channels
     for name, result in run.methods.items():
         if len(result.modes) != config.n_modes:
             return f"{name} has {len(result.modes)} modes, not n_modes = {config.n_modes}"
+        for k, o in enumerate(result.modes):
+            if o.shape is not None and len(o.shape) != n_channels:
+                return (f"{name} mode {k + 1} shape has {len(o.shape)} entries, "
+                        f"not one per channel of beam {beam.beam_id} ({n_channels})")
     return None
 
 
 def _run_from_dict(d: dict, index: int, config: CampaignConfig) -> RunResult:
     """Result ``index`` of a stored report, checked against its config."""
+    where = f"report result {index}"
     try:
         methods = {}
-        for name, md in d["methods"].items():
-            modes = tuple(ModeOutcome(o["identified"], o["frequency"], o["mac"],
-                                      o["rel_err_pct"],
-                                      tuple(o["shape"]) if o["shape"] is not None else None)
-                          for o in md["modes"])
+        for name, md in _object(_object(d, where)["methods"], f"{where} methods").items():
+            md = _object(md, f"{where} method {name!r}")
+            modes = tuple(_outcome_from_dict(o, where, name, k)
+                          for k, o in enumerate(md["modes"]))
             methods[name] = MethodResult(md["failed"], tuple(md["notes"]),
                                          tuple(md["identified_frequencies"]), modes)
         snr = d["snr_db"]
         run = RunResult(d["beam_id"], d["noise_level"], d["nl_index"], d["run_index"],
                         tuple(snr) if snr is not None else None, methods)
     except KeyError as exc:
-        raise ValueError(f"report result {index} has no key {exc}") from None
+        raise ValueError(f"{where} has no key {exc}") from None
     problem = _misfit(run, config)
     if problem is not None:
-        raise ValueError(f"report result {index} does not fit its config: {problem}")
+        raise ValueError(f"{where} does not fit its config: {problem}")
     return run
+
+
+def _outcome_from_dict(o, where: str, name: str, k: int) -> ModeOutcome:
+    """Mode ``k`` of method ``name`` of the stored result ``where``."""
+    if not isinstance(o, dict):  # the message is only formatted for a bad outcome
+        raise ValueError(f"{where} {name} mode {k + 1} must be an object")
+    shape = o["shape"]
+    return ModeOutcome(o["identified"], o["frequency"], o["mac"], o["rel_err_pct"],
+                       tuple(shape) if shape is not None else None)
 
 
 def run_campaign(config: CampaignConfig, jobs: int = 1, artifacts: dict | None = None,
@@ -627,8 +645,7 @@ def run_campaign(config: CampaignConfig, jobs: int = 1, artifacts: dict | None =
     with own or nullcontext(pool) as pool:
         results = (list(pool.map(_worker_run, tasks)) if pool is not None else
                    [run_single(artifacts[b], config, nl, run) for b, nl, run in tasks])
-    reference = {bc.beam_id: _reference_entry(artifacts[bc.beam_id]) for bc in config.beams}
-    return BenchmarkReport(config, reference, tuple(results))
+    return BenchmarkReport(config, tuple(results))
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,11 @@ TWO_BEAM_CONFIG = {"runs": 1, "noise_levels": [0.5], "methods": ["PP"], "beams":
     {"beam_id": "SS", "support": "SS", "duration": 1.0}]}
 
 
+def in_place(change):
+    """A report edit that applies ``change`` to the document and returns it."""
+    return lambda doc: (change(doc), doc)[1]
+
+
 def read_mode_table(path):
     rows = []
     with open(path) as fh:
@@ -534,30 +539,62 @@ class TestReport:
         assert json.loads((target / "report.json").read_text())["config"] == resolved
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda doc: doc["config"].update(n_modes=6),
+        (in_place(lambda doc: doc["config"].update(n_modes=6)),
          "report result 0 does not fit its config: PP has 5 modes, not n_modes = 6"),
-        (lambda doc: [r["methods"].pop("PP") for r in doc["results"]],
+        (in_place(lambda doc: [r["methods"].pop("PP") for r in doc["results"]]),
          "report result 0 does not fit its config: methods [] are not the config's ['PP']"),
-        (lambda doc: doc["results"][1].pop("snr_db"), "report result 1 has no key 'snr_db'"),
-        (lambda doc: doc["results"][1].update(beam_id="SS"),
+        (in_place(lambda doc: doc["results"][1].pop("snr_db")),
+         "report result 1 has no key 'snr_db'"),
+        (in_place(lambda doc: doc["results"][1].update(beam_id="SS")),
          "report result 1 does not fit its config: beam 'SS' is not a config beam"),
-        (lambda doc: doc["results"][0].update(nl_index=1),
+        (in_place(lambda doc: doc["results"][0].update(nl_index=1)),
          "report result 0 does not fit its config: nl_index 1 is not an index"),
-        (lambda doc: doc.pop("reference"), "report has no key 'reference'"),
-        (lambda doc: doc["results"].clear(), "no runs for beam CF at level index 0")],
-        ids=["n_modes", "method", "snr_db", "beam", "nl_index", "reference", "no_runs"])
+        (in_place(lambda doc: doc["results"].clear()), "no runs for beam CF at level index 0"),
+        (lambda doc: [], "a report must be an object"),
+        (in_place(lambda doc: doc.update(results={})), "report key 'results' must be a list"),
+        (in_place(lambda doc: doc["results"].append("run")),
+         "report result 2 must be an object"),
+        (in_place(lambda doc: doc["results"][1].update(methods="PP")),
+         "report result 1 methods must be an object"),
+        (in_place(lambda doc: doc["results"][1]["methods"].update(PP=[])),
+         "report result 1 method 'PP' must be an object"),
+        (in_place(lambda doc: doc["results"][1]["methods"]["PP"]["modes"].insert(0, "miss")),
+         "report result 1 PP mode 1 must be an object"),
+        (in_place(lambda doc: [o.update(shape=o["shape"][:3]) for r in doc["results"]
+                               for o in r["methods"]["PP"]["modes"] if o["shape"]]),
+         "report result 0 does not fit its config: PP mode 1 shape has 3 entries, "
+         "not one per channel of beam CF (10)")],
+        ids=["n_modes", "method", "snr_db", "beam", "nl_index", "no_runs", "not_object",
+             "results_not_list", "result_not_object", "methods_not_object",
+             "method_not_object", "outcome_not_object", "short_shapes"])
     def test_report_disagreeing_with_config_exits_before_out(self, bench_out, tmp_path,
                                                             edit, message, capsys):
-        """A stored report whose results do not fit its config, or that lacks
-        a key, exits 2 naming the problem and writes nothing."""
+        """A stored report whose results do not fit its config, that lacks a
+        key or that holds a value of the wrong JSON type, exits 2 naming the
+        problem and writes nothing."""
         _, outdir, _ = bench_out
-        doc = json.loads((outdir / "report.json").read_text())
-        edit(doc)
+        doc = edit(json.loads((outdir / "report.json").read_text()))
         source, target = tmp_path / "edited.json", tmp_path / "out"
         source.write_text(json.dumps(doc))
         assert run_cli(["report", "--in", str(source), "--out", str(target)]) == 2
         assert message in capsys.readouterr().err
         assert not target.exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.pop("reference"),
+        lambda doc: doc["reference"]["CF"].update(frequencies=[1.0] * 5)],
+        ids=["removed", "edited"])
+    def test_stored_reference_is_not_read(self, bench_out, tmp_path, edit, capsys):
+        """report writes the FE reference of the config's beams, whatever the
+        stored report holds under ``reference``."""
+        _, outdir, _ = bench_out
+        doc = json.loads((outdir / "report.json").read_text())
+        edit(doc)
+        source, target = tmp_path / "edited.json", tmp_path / "out"
+        source.write_text(json.dumps(doc))
+        assert run_cli(["report", "--in", str(source), "--out", str(target)]) == 0
+        capsys.readouterr()
+        assert filecmp.cmp(outdir / "report.json", target / "report.json", shallow=False)
 
     def test_interrupted_rewrite_keeps_input(self, bench_out, tmp_path, monkeypatch, capsys):
         """report with no --out rewrites its input; a write that fails

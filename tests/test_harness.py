@@ -419,6 +419,24 @@ class TestReportStatistics:
         for r in cf_campaign.runs_for("CF", nl_index):
             assert floor <= min(o.mac for o in r.methods["PP"].modes)
 
+    def test_hand_built_report_ties_and_level_order(self, cf_campaign):
+        """Two runs with the same minimum MAC resolve to the lower run_index,
+        and the statistics keep the config's level order whatever the
+        order of the results."""
+        nl_index = len(CAMPAIGN_LEVELS) - 1
+        low, high = cf_campaign.runs_for("CF", nl_index)[2:4]
+        high = replace(high, methods={**high.methods, "PP": low.methods["PP"]})
+        tied = replace(cf_campaign, results=(high, low))
+        assert (high.run_index, low.run_index) == (3, 2)
+        assert tied.worst_run("CF", nl_index, "PP") is low
+        stats = cf_campaign.mac_statistics()["CF"]
+        backward = replace(cf_campaign, results=cf_campaign.results[::-1])
+        for name, per_mode in backward.mac_statistics()["CF"].items():
+            for k, per_level in enumerate(per_mode):
+                assert list(per_level) == list(range(len(CAMPAIGN_LEVELS)))
+                assert [c["min"] for c in per_level.values()] == \
+                    [c["min"] for c in stats[name][k].values()]
+
     def test_missing_cell_raises(self, cf_campaign):
         with pytest.raises(ValueError):
             cf_campaign.worst_run("CF", 99, "PP")
