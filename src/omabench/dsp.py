@@ -407,10 +407,11 @@ def csd_matrix(record: MultiChannelRecord,
     freqs, X, scale = _segment_ffts(record, options)
     n = min(int(np.searchsorted(freqs, f_max)) + 2, freqs.size)
     xc = np.conj(X)
-    # G[f, j, k] = E[X_j(f) conj(X_k(f))], averaged over segments.
+    # G[f, j, k] = E[X_j(f) conj(X_k(f))], averaged over segments.  G[f, k, j]
+    # sums the conjugates of the same products in the same order, so unfused
+    # arithmetic makes each line exactly Hermitian; SpectralMatrix checks it.
     g = np.einsum("sjf,skf->fjk", X[..., :n], xc[..., :n]) / X.shape[0]
     g *= scale[:n, None, None]
-    g = 0.5 * (g + np.conj(np.transpose(g, (0, 2, 1))))
     # Rounds as the diagonal of g does: the real part is taken last.
     auto = np.real(np.einsum("sjf,sjf->fj", X, xc) / X.shape[0] * scale[:, None]).T
     return SpectralMatrix(freqs, g, auto)

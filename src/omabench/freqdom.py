@@ -11,7 +11,7 @@ lie more than one grid line apart, as :func:`pick_peaks` leaves them.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,12 +96,13 @@ class IdentifiedMode:
 class IdentifiedModeSet:
     """Result of one identification pass, modes ascending in frequency.
 
-    ``shape_at(frequency, rel_window)`` is the method's shape estimate near
-    a frequency from the same pass, or ``None``.
+    ``shape_at(frequencies, rel_window)`` lists the method's shape estimate
+    near each of a sequence of frequencies from the same pass, or ``None``.
     """
 
     modes: tuple[IdentifiedMode, ...]
-    shape_at: Callable[[float, float], np.ndarray | None] = field(compare=False, repr=False)
+    shape_at: Callable[[Sequence[float], float], list[np.ndarray | None]] = field(
+        compare=False, repr=False)
     notes: tuple[str, ...] = ()
 
     @property
@@ -234,14 +235,13 @@ def _band_power_reference(spectral: SpectralMatrix, band: tuple[float, float]) -
     return int(np.argmax(power))
 
 
-def pp_shape_at(spectral: SpectralMatrix, reference_channel: int, frequencies):
+def pp_shape_at(spectral: SpectralMatrix, reference_channel: int, frequencies) -> list:
     """Peak-picking shapes at the grid line nearest each of ``frequencies``.
 
     Entry ``j`` of a shape is ``|G_jr| / G_rr`` signed by the cross-spectrum
     phase (positive when within a quarter turn of the reference); a line
-    where the reference auto-spectrum vanishes gives ``None``.  A sequence
-    of frequencies gives a list, one entry per frequency, read in one array
-    pass; a single frequency gives its entry.
+    where the reference auto-spectrum vanishes gives ``None``.  Returns one
+    entry per frequency, read in one array pass.
     """
     g = _lines_nearest(spectral, frequencies)
     grr = g[:, reference_channel, reference_channel].real
@@ -250,8 +250,7 @@ def pp_shape_at(spectral: SpectralMatrix, reference_channel: int, frequencies):
     mag = np.abs(col) / grr[live, None]
     sign = np.where(np.abs(np.angle(col)) < np.pi / 2.0, 1.0, -1.0)
     shapes = iter(unit_normalize(mag * sign))
-    found = [next(shapes) if ok else None for ok in live]
-    return found if np.ndim(frequencies) else found[0]
+    return [next(shapes) if ok else None for ok in live]
 
 
 def pp_identify(g: SpectralMatrix, peaks: PeakOptions = PeakOptions(),
@@ -284,7 +283,7 @@ def pp_identify(g: SpectralMatrix, peaks: PeakOptions = PeakOptions(),
             notes.append(f"dropped_peak_at={pk.frequency:.3f}Hz (zero reference auto-spectrum)")
             continue
         modes.append(IdentifiedMode(pk.frequency, shape))
-    return IdentifiedModeSet(tuple(modes), lambda f, _window: pp_shape_at(g, ref, f),
+    return IdentifiedModeSet(tuple(modes), lambda fs, _window: pp_shape_at(g, ref, fs),
                              tuple(notes))
 
 
@@ -293,14 +292,11 @@ def _first_singular_values(values: np.ndarray) -> np.ndarray:
     return np.maximum(np.linalg.eigvalsh(values)[:, -1], 0.0)
 
 
-def fdd_shape_at(spectral: SpectralMatrix, frequencies):
+def fdd_shape_at(spectral: SpectralMatrix, frequencies) -> list:
     """First singular vector at the grid line nearest each of ``frequencies``,
-    made real.  A sequence of frequencies gives a list, one shape per
-    frequency, from one stacked ``eigh``; a single frequency gives its shape.
-    """
+    made real: one shape per frequency, from one stacked ``eigh``."""
     _, vecs = np.linalg.eigh(_lines_nearest(spectral, frequencies))
-    found = list(unit_normalize(align_to_real(vecs[..., -1])))
-    return found if np.ndim(frequencies) else found[0]
+    return list(unit_normalize(align_to_real(vecs[..., -1])))
 
 
 def fdd_identify(g: SpectralMatrix, peaks: PeakOptions = PeakOptions()) -> IdentifiedModeSet:
@@ -321,7 +317,7 @@ def fdd_identify(g: SpectralMatrix, peaks: PeakOptions = PeakOptions()) -> Ident
     found = pick_peaks(freqs, s1, peaks)
     shapes = fdd_shape_at(g, [freqs[pk.bin_index] for pk in found])
     modes = tuple(IdentifiedMode(pk.frequency, shape) for pk, shape in zip(found, shapes))
-    return IdentifiedModeSet(modes, shape_at=lambda f, _window: fdd_shape_at(g, f))
+    return IdentifiedModeSet(modes, shape_at=lambda fs, _window: fdd_shape_at(g, fs))
 
 
 def write_curve_csv(path, frequencies, values) -> None:

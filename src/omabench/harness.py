@@ -340,9 +340,11 @@ _IDENTIFIERS = {
 
 def _score_method(mode_set: IdentifiedModeSet, ref_freqs, ref_shapes,
                   config: CampaignConfig) -> MethodResult:
-    """Pair to the reference; score unpaired modes by the set's own shape extractor."""
+    """Pair to the reference; score the unpaired modes by one ``shape_at`` read."""
     matches = pair_to_reference(mode_set.frequencies, mode_set.shapes, ref_freqs, ref_shapes,
                                 config.pairing)
+    unpaired = [k for k, match in enumerate(matches) if match is None]
+    read = iter(mode_set.shape_at(ref_freqs[unpaired].tolist(), config.pairing.f_window))
     outcomes = []
     for k, match in enumerate(matches):
         if match is not None:
@@ -352,7 +354,7 @@ def _score_method(mode_set: IdentifiedModeSet, ref_freqs, ref_shapes,
                                         relative_error(freq, float(ref_freqs[k])),
                                         tuple(float(x) for x in shape)))
         else:
-            shape = mode_set.shape_at(float(ref_freqs[k]), config.pairing.f_window)
+            shape = next(read)
             m = mac(shape, ref_shapes[:, k]) if shape is not None else 0.0
             outcomes.append(ModeOutcome(False, None, m, None, None))
     return MethodResult(False, mode_set.notes,
@@ -547,10 +549,12 @@ class BenchmarkReport:
     @classmethod
     def from_json(cls, path) -> "BenchmarkReport":
         """Load a stored report's config and results.  A missing key, a
-        non-object where an object belongs, a ``results`` that is not a list,
-        or a result that does not fit the report's config (a beam or level
-        index it lacks, other methods, not ``n_modes`` modes, or a shape that
-        is not one entry per channel of its beam), raises ``ValueError``."""
+        non-object where an object belongs, a non-list where a list belongs,
+        a result that repeats the (beam, level, run) of an earlier one, or a
+        result that does not fit the report's config (a beam, level index or
+        run index it lacks, a noise level other than its level index's, other
+        methods, not ``n_modes`` modes, or a shape that is not one entry per
+        channel of its beam), raises ``ValueError``.  Runs may be missing."""
         # Decoding and building the results make millions of objects and no
         # reference cycle, so the cyclic collector is paused: each of its
         # passes on the way would scan every container made so far.
@@ -567,10 +571,24 @@ class BenchmarkReport:
                 raise ValueError("report key 'results' must be a list")
             config = CampaignConfig.from_dict(config)
             results = tuple(_run_from_dict(d, i, config) for i, d in enumerate(stored))
+            # Freed before the runs are indexed, so the index takes the document's
+            # memory and does not raise the later peak.
+            del doc, stored
+            first = {}
+            for i, r in enumerate(results):
+                j = first.setdefault((r.beam_id, r.nl_index, r.run_index), i)
+                if j != i:
+                    raise ValueError(f"report result {i} repeats the beam, level and run "
+                                     f"of result {j}")
         finally:
             if gc_enabled:
                 gc.enable()
         return cls(config, results)
+
+
+def _index_in(value, n: int) -> bool:
+    """Whether ``value`` is a JSON integer in ``range(n)``."""
+    return type(value) is int and 0 <= value < n
 
 
 def _misfit(run: RunResult, config: CampaignConfig) -> str | None:
@@ -578,8 +596,14 @@ def _misfit(run: RunResult, config: CampaignConfig) -> str | None:
     beam = next((bc for bc in config.beams if bc.beam_id == run.beam_id), None)
     if beam is None:
         return f"beam {run.beam_id!r} is not a config beam"
-    if run.nl_index not in range(len(config.noise_levels)):
+    if not _index_in(run.nl_index, len(config.noise_levels)):
         return f"nl_index {run.nl_index!r} is not an index of the noise levels"
+    level = config.noise_levels[run.nl_index]
+    if run.noise_level != level:
+        return f"noise_level {run.noise_level!r} is not the config's level {level!r}"
+    runs = 1 if level == 0 else config.runs  # as run_campaign's grid
+    if not _index_in(run.run_index, runs):
+        return f"run_index {run.run_index!r} is not an index of the {runs} runs at {level!r}"
     if sorted(run.methods) != sorted(config.methods):
         return f"methods {list(run.methods)} are not the config's {list(config.methods)}"
     n_channels = fe_reference(beam, config.n_modes).system.n_channels
@@ -601,12 +625,13 @@ def _run_from_dict(d: dict, index: int, config: CampaignConfig) -> RunResult:
         for name, md in _object(_object(d, where)["methods"], f"{where} methods").items():
             md = _object(md, f"{where} method {name!r}")
             modes = tuple(_outcome_from_dict(o, where, name, k)
-                          for k, o in enumerate(md["modes"]))
-            methods[name] = MethodResult(md["failed"], tuple(md["notes"]),
-                                         tuple(md["identified_frequencies"]), modes)
+                          for k, o in enumerate(_tuple(md["modes"], where, name, "modes")))
+            methods[name] = MethodResult(
+                md["failed"], _tuple(md["notes"], where, name, "notes"),
+                _tuple(md["identified_frequencies"], where, name, "identified_frequencies"), modes)
         snr = d["snr_db"]
         run = RunResult(d["beam_id"], d["noise_level"], d["nl_index"], d["run_index"],
-                        tuple(snr) if snr is not None else None, methods)
+                        _tuple(snr, where, "snr_db") if snr is not None else None, methods)
     except KeyError as exc:
         raise ValueError(f"{where} has no key {exc}") from None
     problem = _misfit(run, config)
@@ -615,13 +640,21 @@ def _run_from_dict(d: dict, index: int, config: CampaignConfig) -> RunResult:
     return run
 
 
+def _tuple(value, *what) -> tuple:
+    """The entries of the JSON list ``value``; the words ``what`` name it in the error."""
+    if not isinstance(value, list):
+        raise ValueError(f"{' '.join(map(str, what))} must be a list")
+    return tuple(value)
+
+
 def _outcome_from_dict(o, where: str, name: str, k: int) -> ModeOutcome:
     """Mode ``k`` of method ``name`` of the stored result ``where``."""
     if not isinstance(o, dict):  # the message is only formatted for a bad outcome
         raise ValueError(f"{where} {name} mode {k + 1} must be an object")
     shape = o["shape"]
     return ModeOutcome(o["identified"], o["frequency"], o["mac"], o["rel_err_pct"],
-                       tuple(shape) if shape is not None else None)
+                       _tuple(shape, where, name, "mode", k + 1, "shape")
+                       if shape is not None else None)
 
 
 def run_campaign(config: CampaignConfig, jobs: int = 1, artifacts: dict | None = None,

@@ -44,6 +44,7 @@ class SsiOptions:
     total).  ``orders`` defaults to ``2, 4, ..., min(100, block_rows * l)``
     where ``l`` is the channel count.  The shift-invariance least squares
     that gives ``A`` has ``(block_rows - 1) * l`` equations per column, so
+    ``block_rows`` must be at least 2 (one block row leaves none), and
     default orders above that (92-100 on 10 channels, 82-90 on 9, at 10
     block rows) are underdetermined and realized with the minimum-norm ``A``.
 
@@ -72,8 +73,8 @@ class SsiOptions:
     min_cluster_size: int = 3
 
     def __post_init__(self):
-        if self.block_rows < 1:
-            raise ValueError("block_rows must be >= 1")
+        if self.block_rows < 2:
+            raise ValueError("block_rows must be >= 2")
         if self.decimate < 1:
             raise ValueError("decimate must be >= 1")
         if self.integrate < 0:
@@ -158,11 +159,6 @@ class Poles:
     shapes: np.ndarray
     stable: np.ndarray
     mac_prev: np.ndarray
-
-
-def _unflagged(frequency: np.ndarray, damping: np.ndarray, shapes: np.ndarray) -> Poles:
-    return Poles(frequency, damping, shapes, np.zeros(frequency.size, dtype=bool),
-                 np.zeros(frequency.size))
 
 
 @dataclass(frozen=True)
@@ -266,8 +262,6 @@ def realize_modes(fact: SubspaceFactorization, order: int) -> Poles:
     l = fact.n_channels
     n = min(order, fact.rank)
     gamma = fact.u[:, :n] * np.sqrt(fact.s[:n])
-    if gamma.shape[0] <= l:
-        return _unflagged(np.zeros(0), np.zeros(0), np.zeros((0, l)))
     if n <= gamma.shape[0] - l:
         r, t = fact._shift_qr
         a = linalg.solve_triangular(r[:n, :n], t[:n, :n])
@@ -287,7 +281,8 @@ def realize_modes(fact: SubspaceFactorization, order: int) -> Poles:
     shapes = unit_normalize(align_to_real(np.matmul(c, psi.T[upper[keep], :, None])[..., 0]))
     freq = w[keep] / (2.0 * np.pi)
     by_f = np.argsort(freq, kind="stable")
-    return _unflagged(freq[by_f], zeta[keep][by_f], shapes[by_f])
+    return Poles(freq[by_f], zeta[keep][by_f], shapes[by_f], np.zeros(freq.size, dtype=bool),
+                 np.zeros(freq.size))
 
 
 def _flag_poles(current: Poles, previous: Poles, tol: SsiOptions) -> Poles:
@@ -395,10 +390,11 @@ def ssi_identify(record: MultiChannelRecord,
 
     With decimation active, only clusters inside the anti-alias filter
     passband are reported; the full diagram is available through
-    :func:`stabilization`; ``shape_at`` of the result reads its nearest pole.
+    :func:`stabilization`; the result's ``shape_at`` reads nearest poles.
     """
     fact = build_hankel(record, options)
     diagram = stabilization(fact, options)
     selected, notes = clip_to_passband(diagram.selected, diagram.notes,
                                        record.sample_rate, options)
-    return IdentifiedModeSet(selected, diagram.nearest_shape, notes)
+    return IdentifiedModeSet(selected, lambda fs, window: [diagram.nearest_shape(f, window)
+                                                           for f in fs], notes)

@@ -122,7 +122,8 @@ class TestExitCodes:
                     {"beams": [{"beam_id": "X", "support": "CF", "spam": 1.0}]},
                     {"runs": "3"}, {"beams": 5}, {"pairing": {"f_window": 1.5}},
                     {"ssi": {"mac_min": 1.5}}, {"ssi": {"freq_rel": -0.01}},
-                    {"ssi": {"orders": [20, 20]}}, {"noise_levels": [0.5, 0.5]},
+                    {"ssi": {"orders": [20, 20]}}, {"ssi": {"block_rows": 1}},
+                    {"noise_levels": [0.5, 0.5]},
                     {"methods": ["pp", "PP"]},
                     {"beams": [{"beam_id": "A", "support": "CF", "n_elements": 0}]},
                     {"beams": [{"beam_id": "A", "support": "CF", "force_band": [1.0, 6000.0]}]},
@@ -150,6 +151,7 @@ class TestExitCodes:
         assert "mac_min must lie in (0, 1]" in err
         assert "freq_rel and damping_abs must be positive" in err
         assert "orders must be distinct" in err
+        assert "block_rows must be >= 2" in err
         assert "noise levels must be distinct" in err
         assert "methods must be distinct" in err
         assert "ssi.orders for beam CF: max order 200 exceeds" in err
@@ -563,10 +565,38 @@ class TestReport:
         (in_place(lambda doc: [o.update(shape=o["shape"][:3]) for r in doc["results"]
                                for o in r["methods"]["PP"]["modes"] if o["shape"]]),
          "report result 0 does not fit its config: PP mode 1 shape has 3 entries, "
-         "not one per channel of beam CF (10)")],
+         "not one per channel of beam CF (10)"),
+        (in_place(lambda doc: doc["results"][1]["methods"]["PP"].update(notes=5)),
+         "report result 1 PP notes must be a list"),
+        (in_place(lambda doc: doc["results"][1]["methods"]["PP"].update(notes="ab")),
+         "report result 1 PP notes must be a list"),
+        (in_place(lambda doc: doc["results"][1]["methods"]["PP"].update(
+            identified_frequencies=50.0)),
+         "report result 1 PP identified_frequencies must be a list"),
+        (in_place(lambda doc: doc["results"][1]["methods"]["PP"].update(modes={})),
+         "report result 1 PP modes must be a list"),
+        (in_place(lambda doc: doc["results"][1]["methods"]["PP"]["modes"][2].update(shape=5)),
+         "report result 1 PP mode 3 shape must be a list"),
+        (in_place(lambda doc: doc["results"][1].update(snr_db="xyz")),
+         "report result 1 snr_db must be a list"),
+        (in_place(lambda doc: doc["results"][1].update(noise_level=9.0)),
+         "report result 1 does not fit its config: noise_level 9.0 is not the config's "
+         "level 0.2"),
+        (in_place(lambda doc: doc["results"][1].update(run_index=99)),
+         "report result 1 does not fit its config: run_index 99 is not an index of the "
+         "2 runs at 0.2"),
+        (in_place(lambda doc: doc["results"][0].update(run_index=1.0)),
+         "report result 0 does not fit its config: run_index 1.0 is not an index"),
+        (in_place(lambda doc: doc["results"][0].update(nl_index=0.0)),
+         "report result 0 does not fit its config: nl_index 0.0 is not an index"),
+        (in_place(lambda doc: doc["results"].append(doc["results"][0])),
+         "report result 2 repeats the beam, level and run of result 0")],
         ids=["n_modes", "method", "snr_db", "beam", "nl_index", "no_runs", "not_object",
              "results_not_list", "result_not_object", "methods_not_object",
-             "method_not_object", "outcome_not_object", "short_shapes"])
+             "method_not_object", "outcome_not_object", "short_shapes", "notes_number",
+             "notes_string", "frequencies_number", "modes_object", "shape_number",
+             "snr_db_string", "noise_level", "run_index", "run_index_float", "nl_index_float",
+             "repeated_run"])
     def test_report_disagreeing_with_config_exits_before_out(self, bench_out, tmp_path,
                                                             edit, message, capsys):
         """A stored report whose results do not fit its config, that lacks a

@@ -339,7 +339,7 @@ class TestFddIdentify:
 
     def test_rank_one_shape_recovery(self):
         G, _, phi = self._rank_one()
-        shape = fdd_shape_at(G, 40.0)
+        [shape] = fdd_shape_at(G, [40.0])
         assert mac(shape, phi) == pytest.approx(1.0, abs=1e-12)
 
     def test_clean_cf_all_modes(self, cf):
@@ -383,9 +383,9 @@ class TestFddIdentify:
         """A matrix stored to 300 Hz names the line a read beyond it asks for."""
         g = csd_matrix(noisy_record("CF", 0.5), CAMPAIGN.estimator, f_max=300.0)
         with pytest.raises(ValueError, match=r"CSD line 500 \(500 Hz\)"):
-            pp_shape_at(g, 0, 500.0)
+            pp_shape_at(g, 0, [500.0])
         with pytest.raises(ValueError, match=r"CSD line 500 \(500 Hz\)"):
-            fdd_shape_at(g, 500.0)
+            fdd_shape_at(g, [500.0])
         with pytest.raises(ValueError, match=r"CSD line 1201 \(1201 Hz\)"):
             fdd_identify(g, CAMPAIGN.peaks)
         with pytest.raises(ValueError, match="CSD line"):
@@ -393,7 +393,7 @@ class TestFddIdentify:
 
 
 class TestBatchedShapeReads:
-    """A sequence of frequencies reads each line as one call per frequency
+    """A sequence of frequencies reads each line as a one-element sequence
     does, bit for bit."""
 
     FREQS = [51.3, 8.0, 280.9, 8.0, 144.6, 463.9]
@@ -407,7 +407,7 @@ class TestBatchedShapeReads:
             col = line[:, 3]
             by_formula = unit_normalize(np.abs(col) / line[3, 3].real * np.where(
                 np.abs(np.angle(col)) < np.pi / 2.0, 1.0, -1.0))
-            assert np.array_equal(shape, pp_shape_at(g, 3, f))
+            assert np.array_equal(shape, pp_shape_at(g, 3, [f])[0])
             assert np.array_equal(shape, by_formula)
 
     def test_fdd_equals_per_frequency_calls(self, noisy_record):
@@ -416,7 +416,7 @@ class TestBatchedShapeReads:
         assert len(batched) == len(self.FREQS)
         for f, shape in zip(self.FREQS, batched):
             _, vecs = np.linalg.eigh(g.values[int(np.argmin(np.abs(g.frequencies - f)))])
-            assert np.array_equal(shape, fdd_shape_at(g, f))
+            assert np.array_equal(shape, fdd_shape_at(g, [f])[0])
             assert np.array_equal(shape, unit_normalize(align_to_real(vecs[:, -1])))
 
     def test_empty_sequence(self, noisy_record):
@@ -449,9 +449,9 @@ class TestBatchedShapeReads:
         pp_identify drops that peak with its note."""
         g = self._two_bumps()
         batched = pp_shape_at(g, 0, [20.0, 40.0, 21.0])
-        assert batched[1] is None and pp_shape_at(g, 0, 40.0) is None
+        assert batched[1] is None and pp_shape_at(g, 0, [40.0]) == [None]
         for f, shape in zip((20.0, 21.0), batched[::2]):
-            assert np.array_equal(shape, pp_shape_at(g, 0, f))
+            assert np.array_equal(shape, pp_shape_at(g, 0, [f])[0])
         mode_set = pp_identify(g, PeakOptions(), reference_channel=0)
         assert [m.frequency for m in mode_set.modes] == [20.0]
         assert "dropped_peak_at=40.000Hz (zero reference auto-spectrum)" in mode_set.notes

@@ -18,6 +18,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
+from omabench import freqdom
 from omabench.dsp import SpectralEstimatorOptions, csd_matrix
 from omabench.freqdom import PeakOptions
 from omabench.harness import (_JSON, BeamConfig, CampaignConfig, BenchmarkReport,
@@ -328,6 +329,22 @@ class TestRunSingle:
             assert not result.failed and not any(o.identified for o in result.modes)
             macs = [o.mac for o in result.modes]
             assert all(m == 0.0 for m in macs) if name == "SSI" else all(m > 0.0 for m in macs)
+
+    def test_unpaired_modes_read_in_one_call(self, cf, noisy_record, monkeypatch):
+        """PP and FDD each read their shapes twice per record: once at the
+        peaks, and once at every unpaired reference frequency, in mode order."""
+        config = small_config(methods=("PP", "FDD"), pairing=PairingOptions(f_window=1e-9))
+        reads = {"pp_shape_at": [], "fdd_shape_at": []}
+        for name, calls in reads.items():
+            def counted(*args, _read=getattr(freqdom, name), _calls=calls):
+                _calls.append(list(args[-1]))
+                return _read(*args)
+            monkeypatch.setattr(freqdom, name, counted)
+        methods = identify_record(noisy_record("CF", 0.5), cf, config)
+        assert not any(o.identified for r in methods.values() for o in r.modes)
+        for calls in reads.values():
+            assert len(calls) == 2
+            assert calls[1] == cf.reference_frequencies.tolist()
 
     def test_deterministic(self, cf, config):
         a = run_single(cf, config, 1, 3)

@@ -75,8 +75,9 @@ class TestHankelOptions:
     """The Hankel settings of ``SsiOptions``, and its range checks."""
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SsiOptions(block_rows=0)
+        for rows in (0, 1):  # one block row leaves the shift invariance no equation
+            with pytest.raises(ValueError, match="block_rows must be >= 2"):
+                SsiOptions(block_rows=rows)
         with pytest.raises(ValueError):
             SsiOptions(decimate=0)
         with pytest.raises(ValueError):
