@@ -550,11 +550,14 @@ class BenchmarkReport:
     def from_json(cls, path) -> "BenchmarkReport":
         """Load a stored report's config and results.  A missing key, a
         non-object where an object belongs, a non-list where a list belongs,
-        a result that repeats the (beam, level, run) of an earlier one, or a
-        result that does not fit the report's config (a beam, level index or
-        run index it lacks, a noise level other than its level index's, other
-        methods, not ``n_modes`` modes, or a shape that is not one entry per
-        channel of its beam), raises ``ValueError``.  Runs may be missing."""
+        a ``failed`` or ``identified`` flag that is not a boolean, a ``mac``
+        that is not a finite number, a ``frequency`` or ``rel_err_pct`` that
+        is neither a finite number nor null, a result that repeats the
+        (beam, level, run) of an earlier one, or a result that does not fit
+        the report's config (a beam, level index or run index it lacks, a
+        noise level other than its level index's, other methods, not
+        ``n_modes`` modes, or a shape that is not one entry per channel of
+        its beam), raises ``ValueError``.  Runs may be missing."""
         # Decoding and building the results make millions of objects and no
         # reference cycle, so the cyclic collector is paused: each of its
         # passes on the way would scan every container made so far.
@@ -584,6 +587,10 @@ class BenchmarkReport:
             if gc_enabled:
                 gc.enable()
         return cls(config, results)
+
+
+# The checks of the stored results' scalars.
+_IS_BOOL, _IS_NUMBER = _JSON_KINDS["bool"][1], _JSON_KINDS["float"][1]
 
 
 def _index_in(value, n: int) -> bool:
@@ -626,6 +633,8 @@ def _run_from_dict(d: dict, index: int, config: CampaignConfig) -> RunResult:
             md = _object(md, f"{where} method {name!r}")
             modes = tuple(_outcome_from_dict(o, where, name, k)
                           for k, o in enumerate(_tuple(md["modes"], where, name, "modes")))
+            if not _IS_BOOL(md["failed"]):
+                raise ValueError(f"{where} {name} failed must be a boolean")
             methods[name] = MethodResult(
                 md["failed"], _tuple(md["notes"], where, name, "notes"),
                 _tuple(md["identified_frequencies"], where, name, "identified_frequencies"), modes)
@@ -648,11 +657,19 @@ def _tuple(value, *what) -> tuple:
 
 
 def _outcome_from_dict(o, where: str, name: str, k: int) -> ModeOutcome:
-    """Mode ``k`` of method ``name`` of the stored result ``where``."""
-    if not isinstance(o, dict):  # the message is only formatted for a bad outcome
+    """Mode ``k`` of method ``name`` of the stored result ``where``.  The
+    messages are only formatted for a bad outcome: reports hold many."""
+    if not isinstance(o, dict):
         raise ValueError(f"{where} {name} mode {k + 1} must be an object")
+    identified, frequency = o["identified"], o["frequency"]
+    mac_, rel_err = o["mac"], o["rel_err_pct"]
+    if not (_IS_BOOL(identified) and _IS_NUMBER(mac_)
+            and (frequency is None or _IS_NUMBER(frequency))
+            and (rel_err is None or _IS_NUMBER(rel_err))):
+        raise ValueError(f"{where} {name} mode {k + 1} must have a boolean identified, a finite "
+                         "number mac, and frequency and rel_err_pct finite numbers or null")
     shape = o["shape"]
-    return ModeOutcome(o["identified"], o["frequency"], o["mac"], o["rel_err_pct"],
+    return ModeOutcome(identified, frequency, mac_, rel_err,
                        _tuple(shape, where, name, "mode", k + 1, "shape")
                        if shape is not None else None)
 

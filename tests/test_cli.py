@@ -579,6 +579,17 @@ class TestReport:
          "report result 1 PP mode 3 shape must be a list"),
         (in_place(lambda doc: doc["results"][1].update(snr_db="xyz")),
          "report result 1 snr_db must be a list"),
+        (in_place(lambda doc: doc["results"][1]["methods"]["PP"]["modes"][2].update(mac="x")),
+         "report result 1 PP mode 3 must have a boolean identified, a finite number mac"),
+        (in_place(lambda doc: doc["results"][1]["methods"]["PP"]["modes"][0].update(
+            identified="yes")),
+         "report result 1 PP mode 1 must have a boolean identified"),
+        (in_place(lambda doc: doc["results"][0]["methods"]["PP"]["modes"][4].update(
+            frequency="x")),
+         "report result 0 PP mode 5 must have a boolean identified, a finite number mac, and "
+         "frequency and rel_err_pct finite numbers or null"),
+        (in_place(lambda doc: doc["results"][1]["methods"]["PP"].update(failed="no")),
+         "report result 1 PP failed must be a boolean"),
         (in_place(lambda doc: doc["results"][1].update(noise_level=9.0)),
          "report result 1 does not fit its config: noise_level 9.0 is not the config's "
          "level 0.2"),
@@ -595,7 +606,8 @@ class TestReport:
              "results_not_list", "result_not_object", "methods_not_object",
              "method_not_object", "outcome_not_object", "short_shapes", "notes_number",
              "notes_string", "frequencies_number", "modes_object", "shape_number",
-             "snr_db_string", "noise_level", "run_index", "run_index_float", "nl_index_float",
+             "snr_db_string", "mac_string", "identified_string", "frequency_string",
+             "failed_string", "noise_level", "run_index", "run_index_float", "nl_index_float",
              "repeated_run"])
     def test_report_disagreeing_with_config_exits_before_out(self, bench_out, tmp_path,
                                                             edit, message, capsys):

@@ -155,6 +155,29 @@ class TestBuildHankel:
         signs = np.sign(np.sum(fact.u[:, :10] * u[:, :10], axis=0))
         np.testing.assert_allclose(fact.u[:, :10], u[:, :10] * signs, rtol=0.0, atol=1e-8)
 
+    @pytest.mark.parametrize("channels, block_rows, n_samples", [
+        (1, 10, 20),    # minimum length: one Hankel column, fewer than li = 10
+        (2, 4, 400),    # li = 8, below the QR block size of 32
+        (10, 10, 600)],  # li = 100: three full QR blocks and a remainder
+        ids=["one_column", "li_below_block", "li_100"])
+    def test_projection_edge_shapes(self, channels, block_rows, n_samples):
+        """The blocked past-row QR matches the full Hankel QR when the past
+        rows have fewer columns than rows, fewer than one block, or a partial
+        last block, and leaves the record's samples as they were."""
+        data = np.random.default_rng(11).standard_normal((channels, n_samples))
+        rec = MultiChannelRecord(100.0, data.copy())
+        opts = replace(FREE_DECAY, block_rows=block_rows)
+        fact = build_hankel(rec, opts)
+        np.testing.assert_array_equal(rec.data, data)
+        li = channels * block_rows
+        r = np.linalg.qr(_block_hankel(data, 2 * block_rows).T, mode="r")
+        u, s, _ = np.linalg.svd(r[:li, li:].T)
+        assert fact.u.shape == (li, li)
+        np.testing.assert_allclose(fact.s, s, rtol=1e-8, atol=0.0)
+        k = min(s.size, 4)
+        signs = np.sign(np.sum(fact.u[:, :k] * u[:, :k], axis=0))
+        np.testing.assert_allclose(fact.u[:, :k], u[:, :k] * signs, rtol=1e-8, atol=1e-8)
+
     def test_decimation_scales_dt(self):
         rng = np.random.default_rng(2)
         rec = MultiChannelRecord(1000.0, rng.standard_normal((2, 5000)))
