@@ -10,6 +10,7 @@ frequency-domain identifiers.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -195,8 +196,9 @@ def force_lines(duration: float, sample_rate: float, force_band: tuple[float, fl
     grid), and the boolean mask of the ``rfft`` lines of an ``n``-sample record
     that lie inside ``force_band``; the DC line is never in it.
     """
-    if duration <= 0 or sample_rate <= 0:
-        raise ValueError("duration and sample_rate must be positive")
+    for name, value in (("duration", duration), ("sample_rate", sample_rate)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
     if len(force_band) != 2:
         raise ValueError("force_band must be a pair [lo, hi]")
     lo, hi = force_band

@@ -90,8 +90,9 @@ class BeamConfig:
         object.__setattr__(self, "force_band", tuple(self.force_band))
         if not self.beam_id:
             raise ValueError("beam_id must be non-empty")
-        if self.dt <= 0 or self.duration <= 0:
-            raise ValueError("dt and duration must be positive")
+        for name in ("dt", "duration"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         force_lines(self.duration, 1.0 / self.dt, self.force_band, self.force_rms)
         self.model()
 
@@ -166,72 +167,12 @@ class CampaignConfig:
         version = doc.pop("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema_version {version}")
-        return _build(cls, doc)
+        return _decode("CampaignConfig", doc, "config")
 
 
 # Dataclasses become objects (their ``__dict__`` is their fields, in order),
 # tuples lists; the C encoder walks the rest.
 _JSON = json.JSONEncoder(default=vars)
-
-
-def _object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be an object")
-    return value
-
-
-# JSON value checks by the leading name of a field's annotation.
-_JSON_KINDS = {
-    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    "float": ("a finite number", lambda v: isinstance(v, int) and not isinstance(v, bool)
-              or isinstance(v, float) and math.isfinite(v)),
-    "bool": ("a boolean", lambda v: isinstance(v, bool)),
-    "str": ("a string", lambda v: isinstance(v, str)),
-}
-
-
-# Config sections by annotation: each builds from a JSON object of its fields.
-_SECTIONS = {cls.__name__: cls for cls in (PairingOptions, SpectralEstimatorOptions,
-                                           PeakOptions, SsiOptions, BeamConfig)}
-
-
-def _from_json(annotation: str, value, where: str):
-    """The value of a field annotated ``annotation`` from its JSON ``value``.
-
-    A section builds from an object and a ``tuple[X, ...]`` from a list of
-    X; scalars of a kind above must be JSON of that kind, and a ``T | None``
-    field also takes null.  Errors name the field by its path ``where``.
-    """
-    if value is None and annotation.endswith(" | None"):
-        return None
-    kind, _, items = annotation.removesuffix(" | None").partition("[")
-    if kind in _SECTIONS:
-        return _build(_SECTIONS[kind], _object(value, f"config {where!r}"), where + ".")
-    if kind == "tuple":
-        if not isinstance(value, list):
-            raise ValueError(f"config key {where!r} must be a list")
-        item_kind = items.split(",")[0]
-        return tuple(_from_json(item_kind, item, f"{where}[{i}]")
-                     for i, item in enumerate(value))
-    if kind in _JSON_KINDS and not _JSON_KINDS[kind][1](value):
-        raise ValueError(f"config key {where!r} must be {_JSON_KINDS[kind][0]}")
-    return value
-
-
-def _build(cls, doc: dict, where: str = ""):
-    """``cls`` built once from the fields named in ``doc`` and its defaults.
-
-    A key that names no field is an error.  A required field that ``doc``
-    leaves out reaches ``cls`` as ``""``, which its own check rejects.
-    """
-    annotations = {f.name: f.type for f in fields(cls)}
-    values = {f.name: "" for f in fields(cls)
-              if f.default is MISSING and f.default_factory is MISSING}
-    for key, value in doc.items():
-        if key not in annotations:
-            raise ValueError(f"unknown config key {where + key!r}")
-        values[key] = _from_json(annotations[key], value, where + key)
-    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -320,14 +261,131 @@ class MethodResult:
     modes: tuple[ModeOutcome, ...]
 
 
+Decibels = float  # unlike a float field's value, an SNR may be infinite
+
+
 @dataclass(frozen=True)
 class RunResult:
     beam_id: str
     noise_level: float
     nl_index: int
     run_index: int
-    snr_db: tuple | None
-    methods: dict
+    snr_db: tuple[Decibels | None, ...] | None
+    methods: dict[str, MethodResult]
+
+
+# ---------------------------------------------------------------------------
+# JSON decoding: the config and the stored results, by their field annotations.
+
+class _Mismatch(Exception):
+    """A JSON value that does not fit its field.  ``args`` are the problem
+    (None for an unknown key) and the value's path, innermost part first,
+    which its containers extend as the error passes out through them."""
+
+
+# JSON scalars by annotation: what a value must be, and its check by JSON type.
+_SCALARS = {
+    "int": ("an integer", {int: True}),
+    "float": ("a finite number", {int: True, float: math.isfinite}),
+    "Decibels": ("a number", {int: True, float: lambda v: not math.isnan(v)}),
+    "bool": ("a boolean", {bool: True}),
+    "str": ("a string", {str: True}),
+}
+# Sections by annotation: each builds from a JSON object of its fields.
+_SECTIONS = {cls.__name__: cls for cls in (
+    CampaignConfig, PairingOptions, SpectralEstimatorOptions, PeakOptions, SsiOptions,
+    BeamConfig, RunResult, MethodResult, ModeOutcome)}
+
+
+def _decode(annotation: str, value, document: str, root: str = ""):
+    """``value`` as a field annotated ``annotation``.  A value that does not
+    fit raises ``ValueError`` naming its path in ``document`` from ``root``."""
+    try:
+        return _decoder(annotation)(value)
+    except _Mismatch as exc:
+        problem, path = exc.args
+        path = (root + "".join(reversed(path))).removeprefix(".")
+        if problem is None:
+            raise ValueError(f"unknown {document} key {path!r}") from None
+        raise ValueError(f"{document} key {path!r} {problem}") from None
+
+
+@lru_cache(maxsize=None)
+def _decoder(annotation: str):
+    """The check and build of a JSON value of a field annotated ``annotation``.
+
+    A section builds from an object of its fields; a field it leaves out
+    takes its default, and must have one.  A ``tuple[X, ...]`` (or
+    ``tuple[X, X]``) builds from a list of X, checked in one pass when X is
+    a scalar, and a ``dict[str, X]`` from an object of X.  A scalar must be
+    JSON of its kind above, and a ``T | None`` field also takes null.
+    """
+    optional = annotation.endswith(" | None")
+    kind, _, items = annotation.removesuffix(" | None").partition("[")
+    if kind in _SECTIONS:
+        cls = _SECTIONS[kind]
+        return _object(cls, {f.name: _decoder(f.type) for f in fields(cls)}, None,
+                       {f.name for f in fields(cls)
+                        if f.default is MISSING and f.default_factory is MISSING})
+    if kind == "dict":
+        return _object(dict, {}, _decoder(items[:-1].split(", ")[1]), set())
+    if kind == "tuple":
+        return _sequence(items.split(",")[0], optional)
+    what, checks = _SCALARS[kind]
+    checks = {**checks, type(None): True} if optional else checks
+
+    def decode(value):
+        check = checks.get(type(value))
+        if check is True or check is not None and check(value):
+            return value
+        raise _Mismatch(f"must be {what}", [])
+    return decode
+
+
+def _object(make, decoders: dict, default, required: set):
+    """``make`` from an object of entries decoded by their key's decoder, else ``default``."""
+
+    def build(doc):
+        if not isinstance(doc, dict):
+            raise _Mismatch("must be an object", [])
+        values = {}
+        for key, value in doc.items():
+            decode = decoders.get(key, default)
+            if decode is None:
+                raise _Mismatch(None, [f".{key}"])
+            try:
+                values[key] = decode(value)
+            except _Mismatch as exc:
+                exc.args[1].append(f".{key}")
+                raise
+        if not required <= values.keys():
+            raise _Mismatch("is missing", [f".{min(required - values.keys())}"])
+        return make(**values)
+    return build
+
+
+def _sequence(item: str, optional: bool):
+    decode = _decoder(item)
+    checks = _SCALARS[item][1] if item in _SCALARS else {}
+
+    def build(value):
+        if not isinstance(value, list):
+            if value is None and optional:
+                return None
+            raise _Mismatch("must be a list", [])
+        types = {*map(type, value)}
+        check = checks.get(types.pop()) if len(types) == 1 else None
+        if check is True or check is not None and all(map(check, value)):
+            return tuple(value)
+        values = []
+        for i, entry in enumerate(value):
+            try:
+                values.append(decode(entry))
+            except _Mismatch as exc:
+                exc.args[1].append(f"[{i}]")
+                raise
+        return tuple(values)
+    return build
 
 
 # Identifiers by method name; PP and FDD share the run's CSD matrix ``g``.
@@ -548,16 +606,11 @@ class BenchmarkReport:
 
     @classmethod
     def from_json(cls, path) -> "BenchmarkReport":
-        """Load a stored report's config and results.  A missing key, a
-        non-object where an object belongs, a non-list where a list belongs,
-        a ``failed`` or ``identified`` flag that is not a boolean, a ``mac``
-        that is not a finite number, a ``frequency`` or ``rel_err_pct`` that
-        is neither a finite number nor null, a result that repeats the
-        (beam, level, run) of an earlier one, or a result that does not fit
-        the report's config (a beam, level index or run index it lacks, a
-        noise level other than its level index's, other methods, not
-        ``n_modes`` modes, or a shape that is not one entry per channel of
-        its beam), raises ``ValueError``.  Runs may be missing."""
+        """Load a stored report's config and results.  Every stored value
+        must fit its field's type, by the rule the config is read by; every
+        result must fit the config (:func:`_misfit`) and not repeat the
+        (beam, level, run) of an earlier one.  Else ``ValueError``.  Runs
+        may be missing."""
         # Decoding and building the results make millions of objects and no
         # reference cycle, so the cyclic collector is paused: each of its
         # passes on the way would scan every container made so far.
@@ -566,19 +619,22 @@ class BenchmarkReport:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
+            if not isinstance(doc, dict):
+                raise ValueError("a report must be an object")
             try:
-                config, stored = _object(doc, "a report")["config"], doc["results"]
+                config, stored = doc["config"], doc["results"]
             except KeyError as exc:
                 raise ValueError(f"report has no key {exc}") from None
-            if not isinstance(stored, list):
-                raise ValueError("report key 'results' must be a list")
             config = CampaignConfig.from_dict(config)
-            results = tuple(_run_from_dict(d, i, config) for i, d in enumerate(stored))
+            results = _decode("tuple[RunResult, ...]", stored, "report", "results")
             # Freed before the runs are indexed, so the index takes the document's
             # memory and does not raise the later peak.
             del doc, stored
             first = {}
             for i, r in enumerate(results):
+                problem = _misfit(r, config)
+                if problem is not None:
+                    raise ValueError(f"report result {i} does not fit its config: {problem}")
                 j = first.setdefault((r.beam_id, r.nl_index, r.run_index), i)
                 if j != i:
                     raise ValueError(f"report result {i} repeats the beam, level and run "
@@ -589,27 +645,18 @@ class BenchmarkReport:
         return cls(config, results)
 
 
-# The checks of the stored results' scalars.
-_IS_BOOL, _IS_NUMBER = _JSON_KINDS["bool"][1], _JSON_KINDS["float"][1]
-
-
-def _index_in(value, n: int) -> bool:
-    """Whether ``value`` is a JSON integer in ``range(n)``."""
-    return type(value) is int and 0 <= value < n
-
-
 def _misfit(run: RunResult, config: CampaignConfig) -> str | None:
     """Why ``run`` cannot be a result of ``config``'s campaign, if it cannot."""
     beam = next((bc for bc in config.beams if bc.beam_id == run.beam_id), None)
     if beam is None:
         return f"beam {run.beam_id!r} is not a config beam"
-    if not _index_in(run.nl_index, len(config.noise_levels)):
+    if run.nl_index not in range(len(config.noise_levels)):
         return f"nl_index {run.nl_index!r} is not an index of the noise levels"
     level = config.noise_levels[run.nl_index]
     if run.noise_level != level:
         return f"noise_level {run.noise_level!r} is not the config's level {level!r}"
     runs = 1 if level == 0 else config.runs  # as run_campaign's grid
-    if not _index_in(run.run_index, runs):
+    if run.run_index not in range(runs):
         return f"run_index {run.run_index!r} is not an index of the {runs} runs at {level!r}"
     if sorted(run.methods) != sorted(config.methods):
         return f"methods {list(run.methods)} are not the config's {list(config.methods)}"
@@ -622,56 +669,6 @@ def _misfit(run: RunResult, config: CampaignConfig) -> str | None:
                 return (f"{name} mode {k + 1} shape has {len(o.shape)} entries, "
                         f"not one per channel of beam {beam.beam_id} ({n_channels})")
     return None
-
-
-def _run_from_dict(d: dict, index: int, config: CampaignConfig) -> RunResult:
-    """Result ``index`` of a stored report, checked against its config."""
-    where = f"report result {index}"
-    try:
-        methods = {}
-        for name, md in _object(_object(d, where)["methods"], f"{where} methods").items():
-            md = _object(md, f"{where} method {name!r}")
-            modes = tuple(_outcome_from_dict(o, where, name, k)
-                          for k, o in enumerate(_tuple(md["modes"], where, name, "modes")))
-            if not _IS_BOOL(md["failed"]):
-                raise ValueError(f"{where} {name} failed must be a boolean")
-            methods[name] = MethodResult(
-                md["failed"], _tuple(md["notes"], where, name, "notes"),
-                _tuple(md["identified_frequencies"], where, name, "identified_frequencies"), modes)
-        snr = d["snr_db"]
-        run = RunResult(d["beam_id"], d["noise_level"], d["nl_index"], d["run_index"],
-                        _tuple(snr, where, "snr_db") if snr is not None else None, methods)
-    except KeyError as exc:
-        raise ValueError(f"{where} has no key {exc}") from None
-    problem = _misfit(run, config)
-    if problem is not None:
-        raise ValueError(f"{where} does not fit its config: {problem}")
-    return run
-
-
-def _tuple(value, *what) -> tuple:
-    """The entries of the JSON list ``value``; the words ``what`` name it in the error."""
-    if not isinstance(value, list):
-        raise ValueError(f"{' '.join(map(str, what))} must be a list")
-    return tuple(value)
-
-
-def _outcome_from_dict(o, where: str, name: str, k: int) -> ModeOutcome:
-    """Mode ``k`` of method ``name`` of the stored result ``where``.  The
-    messages are only formatted for a bad outcome: reports hold many."""
-    if not isinstance(o, dict):
-        raise ValueError(f"{where} {name} mode {k + 1} must be an object")
-    identified, frequency = o["identified"], o["frequency"]
-    mac_, rel_err = o["mac"], o["rel_err_pct"]
-    if not (_IS_BOOL(identified) and _IS_NUMBER(mac_)
-            and (frequency is None or _IS_NUMBER(frequency))
-            and (rel_err is None or _IS_NUMBER(rel_err))):
-        raise ValueError(f"{where} {name} mode {k + 1} must have a boolean identified, a finite "
-                         "number mac, and frequency and rel_err_pct finite numbers or null")
-    shape = o["shape"]
-    return ModeOutcome(identified, frequency, mac_, rel_err,
-                       _tuple(shape, where, name, "mode", k + 1, "shape")
-                       if shape is not None else None)
 
 
 def run_campaign(config: CampaignConfig, jobs: int = 1, artifacts: dict | None = None,

@@ -36,8 +36,8 @@ def corrupt(record: MultiChannelRecord, level: float,
     ``10 log10(P_signal / P_noise)`` with mean-square powers; it is ``None``
     for a channel with zero signal RMS, which receives no noise.
     """
-    if level < 0:
-        raise ValueError("noise level must be >= 0")
+    if not 0 <= level < math.inf:
+        raise ValueError("noise level must be >= 0 and finite")
     if level == 0:
         return record, None
     p_s = np.mean(record.data ** 2, axis=1)

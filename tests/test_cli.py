@@ -166,6 +166,17 @@ class TestExitCodes:
         assert "record CSV time steps must be uniform" in err
         assert "config key 'noise_levels[0]' must be a finite number" in err
         assert "config key 'peaks.prominence_db' must be a finite number" in err
+        simulate, corrupt = ["simulate", "--beam", "CF"], ["corrupt", "--in", str(cf_record_npz)]
+        duration, dt = "duration must be positive and finite", "dt must be positive and finite"
+        level = "noise level must be >= 0 and finite"
+        for argv, message in ((simulate + ["--duration", "inf"], duration),
+                              (simulate + ["--duration", "nan"], duration),
+                              (simulate + ["--dt", "nan"], dt), (simulate + ["--dt", "inf"], dt),
+                              (corrupt + ["--nl", "inf"], level),
+                              (corrupt + ["--nl", "nan"], level)):
+            assert run_cli(argv + ["--out", str(tmp_path / "nf.npz")]) == 2, argv
+            assert message in capsys.readouterr().err, argv
+        assert not (tmp_path / "nf.npz").exists()
 
     def test_programming_errors_propagate(self, tmp_path, monkeypatch):
         """A KeyError is a programming error, not a data failure: no exit 2."""
@@ -546,7 +557,7 @@ class TestReport:
         (in_place(lambda doc: [r["methods"].pop("PP") for r in doc["results"]]),
          "report result 0 does not fit its config: methods [] are not the config's ['PP']"),
         (in_place(lambda doc: doc["results"][1].pop("snr_db")),
-         "report result 1 has no key 'snr_db'"),
+         "report key 'results[1].snr_db' is missing"),
         (in_place(lambda doc: doc["results"][1].update(beam_id="SS")),
          "report result 1 does not fit its config: beam 'SS' is not a config beam"),
         (in_place(lambda doc: doc["results"][0].update(nl_index=1)),
@@ -555,41 +566,40 @@ class TestReport:
         (lambda doc: [], "a report must be an object"),
         (in_place(lambda doc: doc.update(results={})), "report key 'results' must be a list"),
         (in_place(lambda doc: doc["results"].append("run")),
-         "report result 2 must be an object"),
+         "report key 'results[2]' must be an object"),
         (in_place(lambda doc: doc["results"][1].update(methods="PP")),
-         "report result 1 methods must be an object"),
+         "report key 'results[1].methods' must be an object"),
         (in_place(lambda doc: doc["results"][1]["methods"].update(PP=[])),
-         "report result 1 method 'PP' must be an object"),
+         "report key 'results[1].methods.PP' must be an object"),
         (in_place(lambda doc: doc["results"][1]["methods"]["PP"]["modes"].insert(0, "miss")),
-         "report result 1 PP mode 1 must be an object"),
+         "report key 'results[1].methods.PP.modes[0]' must be an object"),
         (in_place(lambda doc: [o.update(shape=o["shape"][:3]) for r in doc["results"]
                                for o in r["methods"]["PP"]["modes"] if o["shape"]]),
          "report result 0 does not fit its config: PP mode 1 shape has 3 entries, "
          "not one per channel of beam CF (10)"),
         (in_place(lambda doc: doc["results"][1]["methods"]["PP"].update(notes=5)),
-         "report result 1 PP notes must be a list"),
+         "report key 'results[1].methods.PP.notes' must be a list"),
         (in_place(lambda doc: doc["results"][1]["methods"]["PP"].update(notes="ab")),
-         "report result 1 PP notes must be a list"),
+         "report key 'results[1].methods.PP.notes' must be a list"),
         (in_place(lambda doc: doc["results"][1]["methods"]["PP"].update(
             identified_frequencies=50.0)),
-         "report result 1 PP identified_frequencies must be a list"),
+         "report key 'results[1].methods.PP.identified_frequencies' must be a list"),
         (in_place(lambda doc: doc["results"][1]["methods"]["PP"].update(modes={})),
-         "report result 1 PP modes must be a list"),
+         "report key 'results[1].methods.PP.modes' must be a list"),
         (in_place(lambda doc: doc["results"][1]["methods"]["PP"]["modes"][2].update(shape=5)),
-         "report result 1 PP mode 3 shape must be a list"),
+         "report key 'results[1].methods.PP.modes[2].shape' must be a list"),
         (in_place(lambda doc: doc["results"][1].update(snr_db="xyz")),
-         "report result 1 snr_db must be a list"),
+         "report key 'results[1].snr_db' must be a list"),
         (in_place(lambda doc: doc["results"][1]["methods"]["PP"]["modes"][2].update(mac="x")),
-         "report result 1 PP mode 3 must have a boolean identified, a finite number mac"),
+         "report key 'results[1].methods.PP.modes[2].mac' must be a finite number"),
         (in_place(lambda doc: doc["results"][1]["methods"]["PP"]["modes"][0].update(
             identified="yes")),
-         "report result 1 PP mode 1 must have a boolean identified"),
+         "report key 'results[1].methods.PP.modes[0].identified' must be a boolean"),
         (in_place(lambda doc: doc["results"][0]["methods"]["PP"]["modes"][4].update(
             frequency="x")),
-         "report result 0 PP mode 5 must have a boolean identified, a finite number mac, and "
-         "frequency and rel_err_pct finite numbers or null"),
+         "report key 'results[0].methods.PP.modes[4].frequency' must be a finite number"),
         (in_place(lambda doc: doc["results"][1]["methods"]["PP"].update(failed="no")),
-         "report result 1 PP failed must be a boolean"),
+         "report key 'results[1].methods.PP.failed' must be a boolean"),
         (in_place(lambda doc: doc["results"][1].update(noise_level=9.0)),
          "report result 1 does not fit its config: noise_level 9.0 is not the config's "
          "level 0.2"),
@@ -597,18 +607,32 @@ class TestReport:
          "report result 1 does not fit its config: run_index 99 is not an index of the "
          "2 runs at 0.2"),
         (in_place(lambda doc: doc["results"][0].update(run_index=1.0)),
-         "report result 0 does not fit its config: run_index 1.0 is not an index"),
+         "report key 'results[0].run_index' must be an integer"),
         (in_place(lambda doc: doc["results"][0].update(nl_index=0.0)),
-         "report result 0 does not fit its config: nl_index 0.0 is not an index"),
+         "report key 'results[0].nl_index' must be an integer"),
         (in_place(lambda doc: doc["results"].append(doc["results"][0])),
-         "report result 2 repeats the beam, level and run of result 0")],
+         "report result 2 repeats the beam, level and run of result 0"),
+        (in_place(lambda doc: doc["results"][1]["methods"]["PP"]["modes"][2].update(
+            shape=["a"] * 10)),
+         "report key 'results[1].methods.PP.modes[2].shape[0]' must be a finite number"),
+        (in_place(lambda doc: doc["results"][1]["methods"]["PP"]["identified_frequencies"]
+                  .insert(0, "x")),
+         "report key 'results[1].methods.PP.identified_frequencies[0]' must be a finite number"),
+        (in_place(lambda doc: doc["results"][1]["snr_db"].__setitem__(3, "x")),
+         "report key 'results[1].snr_db[3]' must be a number"),
+        (in_place(lambda doc: doc["results"][1]["methods"]["PP"]["modes"][2].update(
+            shape=[0.5] * 9 + [float("inf")])),
+         "report key 'results[1].methods.PP.modes[2].shape[9]' must be a finite number"),
+        (in_place(lambda doc: doc["results"][1]["methods"]["PP"]["notes"].insert(0, 5)),
+         "report key 'results[1].methods.PP.notes[0]' must be a string")],
         ids=["n_modes", "method", "snr_db", "beam", "nl_index", "no_runs", "not_object",
              "results_not_list", "result_not_object", "methods_not_object",
              "method_not_object", "outcome_not_object", "short_shapes", "notes_number",
              "notes_string", "frequencies_number", "modes_object", "shape_number",
              "snr_db_string", "mac_string", "identified_string", "frequency_string",
              "failed_string", "noise_level", "run_index", "run_index_float", "nl_index_float",
-             "repeated_run"])
+             "repeated_run", "shape_strings", "frequency_entry_string", "snr_db_entry_string",
+             "shape_entry_infinite", "notes_entry_number"])
     def test_report_disagreeing_with_config_exits_before_out(self, bench_out, tmp_path,
                                                             edit, message, capsys):
         """A stored report whose results do not fit its config, that lacks a

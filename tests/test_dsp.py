@@ -212,6 +212,11 @@ class TestBandLimitedForce:
             band_limited_force(1.0, self.RATE, (1.0,), 0.2, [3])
         with pytest.raises(ValueError, match="no spectral line"):
             band_limited_force(1.0, self.RATE, (1.2, 1.8), 0.2, [3])
+        for duration, rate, name in ((math.inf, self.RATE, "duration"),
+                                     (math.nan, self.RATE, "duration"),
+                                     (1.0, math.inf, "sample_rate"), (1.0, math.nan, "sample_rate")):
+            with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+                band_limited_force(duration, rate, (1.0, 1500.0), 0.2, [3])
 
 
 class TestPsd:

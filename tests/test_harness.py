@@ -177,6 +177,14 @@ class TestConfig:
         f1 = fe_reference(beam, 5).reference_frequencies[0]
         assert beam.duration >= 1.0 / (f1 * beam.damping_ratio)
 
+    @pytest.mark.parametrize("name", ["dt", "duration"])
+    @pytest.mark.parametrize("value", [0.0, math.inf, math.nan])
+    def test_beam_timing_positive_and_finite(self, name, value):
+        """A Python caller's non-finite ``dt`` or ``duration`` is named, as a
+        config's is by its JSON check."""
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+            BeamConfig("A", "CF", **{name: value})
+
     def test_beam_config_round_trip(self):
         bc = BeamConfig("demo", "SS", duration=2.0, force_rms=0.5)
         doc = small_config(beams=(bc,)).to_dict()

@@ -50,8 +50,9 @@ class TestSnrAlgebra:
             noise_level_to_snr_db(0.0)
         with pytest.raises(ValueError):
             noise_level_to_snr_db(-0.1)
-        with pytest.raises(ValueError):
-            corrupt(white_record(1, 10), -0.1, 1)
+        for level in (-0.1, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="noise level must be >= 0 and finite"):
+                corrupt(white_record(1, 10), level, 1)
 
 
 def added_noise(rec: MultiChannelRecord, level: float, seed: int) -> np.ndarray:
