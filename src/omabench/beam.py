@@ -347,17 +347,22 @@ def _recurrence_coefficients(omega: np.ndarray, zeta: float, dt: float):
 
 
 def _modal_superposition(omega: np.ndarray, zeta: float, p: np.ndarray, dt: float):
-    """Integrate every modal SDOF and return (q, qdot, qddot) histories.
+    """Integrate each modal SDOF in turn, yielding its (q, qdot, qddot) rows.
 
-    The modal forces ``p`` have shape ``(n_modes, n_samples)`` and every
-    history has that shape; the system starts from rest.
+    The modal forces ``p`` have shape ``(n_modes, n_samples)``; mode ``m``'s
+    three rows have ``n_samples`` entries each and are built from ``p[m]``
+    alone, which is not read again once they are yielded, so a caller may
+    overwrite it with them.  The system starts from rest.
 
     The recurrence of :func:`_recurrence_coefficients` is a time-invariant
     2x2 state update ``x+ = M x + C p0 + D p1`` per mode, so ``q`` and ``q'``
     are each a second-order IIR filter of the modal force.  The denominator
     is ``det(zI - M)``; the numerators are the rows of ``adj(zI - M)(C + D z)``.
     The initial filter states cancel the feed-through ``D p[0]``, so both
-    histories are zero at sample 0 whatever the first force sample.
+    histories are zero at sample 0 whatever the first force sample.  ``q''``
+    is the equation of motion solved for it, ``p - 2 zeta w q' - w^2 q``,
+    element by element the same operations as that expression broadcast
+    over all modes at once.
     """
     a, b, cc, dd, a1, b1, c1, d1 = _recurrence_coefficients(omega, zeta, dt)
     den = np.stack([np.ones_like(a), -(a + b1), a * b1 - b * a1], axis=1)
@@ -365,13 +370,12 @@ def _modal_superposition(omega: np.ndarray, zeta: float, p: np.ndarray, dt: floa
     num_qd = np.stack([d1, c1 - a * d1 + a1 * dd, a1 * cc - a * c1], axis=1)
     zi_q = np.stack([-dd, b1 * dd - b * d1], axis=1) * p[:, :1]
     zi_qd = np.stack([-d1, a * d1 - a1 * dd], axis=1) * p[:, :1]
-    q = np.empty(p.shape)
-    qd = np.empty(p.shape)
+    damping = 2.0 * zeta * omega
+    stiffness = omega ** 2
     for m in range(omega.size):
-        q[m] = lfilter(num_q[m], den[m], p[m], zi=zi_q[m])[0]
-        qd[m] = lfilter(num_qd[m], den[m], p[m], zi=zi_qd[m])[0]
-    qdd = p - 2.0 * zeta * omega[:, None] * qd - (omega ** 2)[:, None] * q
-    return q, qd, qdd
+        q = lfilter(num_q[m], den[m], p[m], zi=zi_q[m])[0]
+        qd = lfilter(num_qd[m], den[m], p[m], zi=zi_qd[m])[0]
+        yield q, qd, p[m] - damping[m] * qd - stiffness[m] * q
 
 
 def transient_response(system: GlobalSystem, modal: ModalSolution,
@@ -383,12 +387,21 @@ def transient_response(system: GlobalSystem, modal: ModalSolution,
     simulation runs on the force record's grid, so the returned record holds
     absolute accelerations at those channels with ``forces.n_samples``
     samples at ``forces.sample_rate``.
+
+    The working set is one ``(n_modes, n_samples)`` array, the modal forces,
+    which each mode's accelerations overwrite as that mode is integrated,
+    plus one mode's histories at a time: the modal displacements and
+    velocities are never held for all modes.  The array is released once
+    it is projected onto the channels.
     """
     if forces.n_channels != system.n_channels:
         raise ValueError("forces must supply one channel per free vertical DOF")
     phi_ch = modal.channel_shapes(system)           # channels x modes
     omega = 2.0 * np.pi * modal.frequencies
-    p = phi_ch.T @ forces.data                      # modal forces
-    _, _, qdd = _modal_superposition(omega, modal.damping_ratio, p, 1.0 / forces.sample_rate)
-    acc = phi_ch @ qdd
+    p = phi_ch.T @ forces.data                      # modal forces, then accelerations
+    modes = _modal_superposition(omega, modal.damping_ratio, p, 1.0 / forces.sample_rate)
+    for m, (_, _, qdd_m) in enumerate(modes):
+        p[m] = qdd_m
+    acc = phi_ch @ p
+    del p
     return MultiChannelRecord(forces.sample_rate, acc, system.channel_labels)

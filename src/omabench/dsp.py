@@ -23,6 +23,7 @@ __all__ = [
     "derive_seed",
     "gaussian_white",
     "force_lines",
+    "MAX_SAMPLES",
     "band_limited_force",
     "psd",
     "csd_matrix",
@@ -31,6 +32,9 @@ __all__ = [
 ]
 
 _WINDOWS = ("rectangular", "hann")
+
+# Bound on a synthesized record's steps: 800 MB per float64 channel.
+MAX_SAMPLES = 10 ** 8
 
 
 def derive_seed(*parts) -> int:
@@ -195,10 +199,16 @@ def force_lines(duration: float, sample_rate: float, force_band: tuple[float, fl
     the one sample-count rule (the simulator runs on the force record's
     grid), and the boolean mask of the ``rfft`` lines of an ``n``-sample record
     that lie inside ``force_band``; the DC line is never in it.
+    ``duration * sample_rate`` must stay below :data:`MAX_SAMPLES` (10**8
+    steps, 2.8 hours at 10 kHz); that is checked before anything is
+    allocated.
     """
     for name, value in (("duration", duration), ("sample_rate", sample_rate)):
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite")
+    if not duration * sample_rate < MAX_SAMPLES:
+        raise ValueError(f"duration * sample_rate must be below {MAX_SAMPLES} samples "
+                         f"(got {duration * sample_rate:.3g})")
     if len(force_band) != 2:
         raise ValueError("force_band must be a pair [lo, hi]")
     lo, hi = force_band
@@ -366,9 +376,12 @@ def _segment_ffts(record: MultiChannelRecord, options: SpectralEstimatorOptions)
     nseg, starts = _segment_plan(record.n_samples, options)
     w = _window(options.window, nseg)
     u = float(np.sum(w * w))
-    segs = np.stack([record.data[:, s0:s0 + nseg] * w for s0 in starts])
-    X = np.fft.rfft(segs, axis=-1)
     freqs = np.fft.rfftfreq(nseg, 1.0 / record.sample_rate)
+    # Each windowed segment is transformed into its slot of X in turn, so the
+    # windowed copies are never all held at once.
+    X = np.empty((len(starts), record.n_channels, freqs.size), dtype=complex)
+    for x, s0 in zip(X, starts):
+        np.fft.rfft(record.data[:, s0:s0 + nseg] * w, axis=-1, out=x)
     # One-sided density scaling; DC (and Nyquist for even lengths) not doubled.
     scale = np.full(freqs.size, 2.0 / (record.sample_rate * u))
     scale[0] = 1.0 / (record.sample_rate * u)
@@ -391,7 +404,9 @@ def psd(record: MultiChannelRecord,
         rectangular segment is requested.
     """
     freqs, X, scale = _segment_ffts(record, options)
-    p = np.mean(np.abs(X) ** 2, axis=0) * scale
+    power = np.abs(X)
+    power **= 2
+    p = np.mean(power, axis=0) * scale
     return freqs, p
 
 

@@ -8,6 +8,7 @@ logarithmic decrement, energy decay).
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -307,8 +308,8 @@ class TestTransientResponse:
         n = 5000
         p = np.zeros((1, n))
         p[0, :100] = 1.0
-        q, qd, _ = _modal_superposition(w, 0.025, p, 1e-4)
-        e = 0.5 * (qd[0] ** 2 + (w[0] * q[0]) ** 2)
+        [(q, qd, _)] = _modal_superposition(w, 0.025, p, 1e-4)
+        e = 0.5 * (qd ** 2 + (w[0] * q) ** 2)
         tail = e[120:]
         assert np.all(np.diff(tail) <= 1e-12 * e.max())
 
@@ -326,12 +327,43 @@ class TestTransientResponse:
         p = sol.channel_shapes(sys_).T @ data
         assert np.all(p[:, 0] != 0.0)
         omega = 2.0 * np.pi * sol.frequencies
-        got = _modal_superposition(omega, sol.damping_ratio, p[:, :n], self.DT)
+        got = map(np.array, zip(*_modal_superposition(omega, sol.damping_ratio,
+                                                      p[:, :n], self.DT)))
         want = _loop_oracle(omega, sol.damping_ratio, p, self.DT, n)
         for g, w in zip(got, want):
             assert g.shape == w.shape == (sol.n_modes, n)
             peak = np.max(np.abs(w), axis=1, keepdims=True)
             assert np.all(np.abs(g - w) <= 1e-10 * peak)
+
+    def test_accelerations_match_all_modes_formula(self):
+        """Mode by mode, the accelerations are bit-identical to the equation
+        of motion broadcast over all modes at once."""
+        _, sys_, sol = self._setup("CF")
+        data = np.random.default_rng(17).standard_normal((sys_.n_channels, 3001))
+        rec = transient_response(sys_, sol, self._forces(sys_, data))
+        phi = sol.channel_shapes(sys_)
+        omega, zeta = 2.0 * np.pi * sol.frequencies, sol.damping_ratio
+        p = phi.T @ data
+        q, qd, qdd_rows = map(np.array, zip(*_modal_superposition(omega, zeta, p, self.DT)))
+        qdd = p - 2.0 * zeta * omega[:, None] * qd - (omega ** 2)[:, None] * q
+        assert np.array_equal(qdd_rows, qdd)
+        assert np.array_equal(rec.data, phi @ qdd)
+
+    def test_working_set_is_bounded(self):
+        """1 s of forcing traces at most two (modes x samples) float64 arrays:
+        the modal forces, overwritten by the modal accelerations, plus the
+        channel accelerations and one mode's histories at a time."""
+        _, sys_, sol = self._setup("CF")
+        n = 10001
+        data = np.random.default_rng(23).standard_normal((sys_.n_channels, n))
+        forces = self._forces(sys_, data)
+        tracemalloc.start()
+        try:
+            transient_response(sys_, sol, forces)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * sol.n_modes * n * 8
 
     def test_input_validation(self):
         _, sys_, sol = self._setup("CF")

@@ -169,8 +169,13 @@ class TestExitCodes:
         simulate, corrupt = ["simulate", "--beam", "CF"], ["corrupt", "--in", str(cf_record_npz)]
         duration, dt = "duration must be positive and finite", "dt must be positive and finite"
         level = "noise level must be >= 0 and finite"
+        # Finite durations whose sample count overflows or passes the bound;
+        # both fail before anything is allocated.
+        steps = "duration * sample_rate must be below 100000000 samples"
         for argv, message in ((simulate + ["--duration", "inf"], duration),
                               (simulate + ["--duration", "nan"], duration),
+                              (simulate + ["--duration", "1e305"], steps + " (got inf)"),
+                              (simulate + ["--duration", "1e5"], steps + " (got 1e+09)"),
                               (simulate + ["--dt", "nan"], dt), (simulate + ["--dt", "inf"], dt),
                               (corrupt + ["--nl", "inf"], level),
                               (corrupt + ["--nl", "nan"], level)):

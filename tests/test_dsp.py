@@ -8,15 +8,16 @@ estimators (Parseval, coherence, Hermitian structure).
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omabench.dsp import (MultiChannelRecord, SpectralEstimatorOptions,
+from omabench.dsp import (MAX_SAMPLES, MultiChannelRecord, SpectralEstimatorOptions,
                           band_limited_force, csd_matrix, derive_seed, fmt,
-                          gaussian_white, psd, write_csv)
+                          force_lines, gaussian_white, psd, write_csv)
 
 # One full-record rectangular segment: the exact, unaveraged estimate.
 SINGLE = SpectralEstimatorOptions("rectangular", 1, 0.0)
@@ -218,8 +219,39 @@ class TestBandLimitedForce:
             with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
                 band_limited_force(duration, rate, (1.0, 1500.0), 0.2, [3])
 
+    def test_sample_count_bound(self, monkeypatch):
+        """A product of finite settings that overflows, or that exceeds the
+        bound, fails before any allocation; the largest count below the
+        bound is accepted."""
+        message = "^duration \\* sample_rate must be below 100000000 samples"
+        for duration, rate in ((1e305, self.RATE), (1.0, 1e308), (1e5, self.RATE),
+                               (MAX_SAMPLES / self.RATE, self.RATE)):
+            with pytest.raises(ValueError, match=message):
+                force_lines(duration, rate, (1.0, 1500.0), 0.2)
+            with pytest.raises(ValueError, match=message):
+                band_limited_force(duration, rate, (1.0, 1500.0), 0.2, [3])
+        # The largest accepted count, with the frequency grid stubbed out so
+        # that nothing of that size is allocated.
+        monkeypatch.setattr(np.fft, "rfftfreq", lambda n, d: np.array([0.0, 1.0]))
+        n, mask = force_lines((MAX_SAMPLES - 1) / self.RATE, self.RATE, (1.0, 1500.0), 0.2)
+        assert n == MAX_SAMPLES and mask.tolist() == [False, True]
+
 
 class TestPsd:
+    def test_working_set_is_bounded(self):
+        """Segments are windowed and transformed one at a time and squared
+        in place: the traced peak stays below 1.8 times the segment spectra
+        (nine Hann segments of four channels)."""
+        rec = MultiChannelRecord(10000.0, np.random.default_rng(1).standard_normal((4, 20001)))
+        options = SpectralEstimatorOptions()
+        tracemalloc.start()
+        try:
+            freqs, _ = psd(rec, options)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.8 * options.segments * rec.n_channels * freqs.size * 16
+
     def test_parseval_single_segment(self):
         """One full-record rectangular segment integrates back to the power."""
         rec = MultiChannelRecord(10000.0, gaussian_white(50000, 21))
