@@ -19,8 +19,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 from .beam import (BeamModel, GlobalSystem, ModalSolution, SUPPORTS,
                    analytical_frequencies, assemble_model, characteristic_roots,
                    modal_analysis, transient_response)
-from .dsp import (MultiChannelRecord, SpectralEstimatorOptions, SpectralMatrix,
-                  band_limited_force, csd_matrix, derive_seed, psd)
+from .dsp import (IdentificationError, MultiChannelRecord, SpectralEstimatorOptions,
+                  SpectralMatrix, band_limited_force, csd_matrix, derive_seed, psd)
 from .freqdom import (AnpsdCurve, IdentifiedMode, IdentifiedModeSet, Peak,
                       PeakOptions, align_to_real, anpsd, fdd_identify,
                       pick_peaks, pp_identify, unit_normalize)

@@ -20,6 +20,7 @@ __all__ = [
     "MultiChannelRecord",
     "SpectralEstimatorOptions",
     "SpectralMatrix",
+    "IdentificationError",
     "derive_seed",
     "gaussian_white",
     "force_lines",
@@ -35,6 +36,12 @@ _WINDOWS = ("rectangular", "hann")
 
 # Bound on a synthesized record's steps: 800 MB per float64 channel.
 MAX_SAMPLES = 10 ** 8
+
+
+class IdentificationError(ValueError):
+    """A record an identifier cannot read: too short for its estimator, or
+    without power or shape.  :func:`omabench.harness.identify_record` files
+    it as that method's failure; any other error is the caller's."""
 
 
 def derive_seed(*parts) -> int:
@@ -262,7 +269,9 @@ def band_limited_force(duration: float, sample_rate: float, force_band: tuple[fl
         phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, int(mask.sum()))
         row[mask] = np.exp(1j * phases)
     x = np.fft.irfft(spectra, n, axis=-1)
-    x *= force_rms / np.sqrt(np.mean(x * x, axis=-1, keepdims=True))
+    del spectra
+    for row in x:
+        row *= force_rms / np.sqrt(np.mean(row * row))
     return x
 
 
@@ -357,12 +366,12 @@ def _segment_plan(n_samples: int, options: SpectralEstimatorOptions) -> tuple[in
     s = options.segments
     nseg = int(n_samples // (1 + (s - 1) * (1 - options.overlap)))
     if nseg < 16:
-        raise ValueError("estimator options leave segments shorter than 16 samples")
+        raise IdentificationError("estimator options leave segments shorter than 16 samples")
     if s == 1:
         return n_samples, [0]
     step = (n_samples - nseg) // (s - 1)
     if step < 1:
-        raise ValueError("too many segments for this record length")
+        raise IdentificationError("too many segments for this record length")
     return nseg, [k * step for k in range(s)]
 
 
@@ -377,17 +386,23 @@ def _segment_ffts(record: MultiChannelRecord, options: SpectralEstimatorOptions)
     w = _window(options.window, nseg)
     u = float(np.sum(w * w))
     freqs = np.fft.rfftfreq(nseg, 1.0 / record.sample_rate)
-    # Each windowed segment is transformed into its slot of X in turn, so the
-    # windowed copies are never all held at once.
+    # Each windowed segment is transformed into its slot of X in turn, and its
+    # power summed, so the windowed copies are never all held at once.
     X = np.empty((len(starts), record.n_channels, freqs.size), dtype=complex)
+    auto = np.zeros(X.shape[1:])
     for x, s0 in zip(X, starts):
         np.fft.rfft(record.data[:, s0:s0 + nseg] * w, axis=-1, out=x)
+        auto += x.real * x.real + x.imag * x.imag
     # One-sided density scaling; DC (and Nyquist for even lengths) not doubled.
     scale = np.full(freqs.size, 2.0 / (record.sample_rate * u))
     scale[0] = 1.0 / (record.sample_rate * u)
     if nseg % 2 == 0:
         scale[-1] = 1.0 / (record.sample_rate * u)
-    return freqs, X, scale
+    # By the reciprocal count, as numpy divides csd_matrix's complex sums by
+    # a real count: the auto-spectra equal its tensor diagonal bit for bit.
+    auto *= 1.0 / len(starts)
+    auto *= scale
+    return freqs, X, scale, auto
 
 
 def psd(record: MultiChannelRecord,
@@ -399,15 +414,12 @@ def psd(record: MultiChannelRecord,
     frequencies : ndarray
         Grid in Hz.
     densities : ndarray
-        Shape ``(n_channels, n_freqs)``; integrating each row against the
-        grid recovers the corresponding channel power, exactly only when one
-        rectangular segment is requested.
+        Shape ``(n_channels, n_freqs)``, :func:`csd_matrix`'s auto-spectra
+        bit for bit; integrating each row against the grid recovers the
+        channel power, exactly only for one rectangular segment.
     """
-    freqs, X, scale = _segment_ffts(record, options)
-    power = np.abs(X)
-    power **= 2
-    p = np.mean(power, axis=0) * scale
-    return freqs, p
+    freqs, _, _, auto = _segment_ffts(record, options)
+    return freqs, auto
 
 
 def csd_matrix(record: MultiChannelRecord,
@@ -415,20 +427,17 @@ def csd_matrix(record: MultiChannelRecord,
                f_max: float = np.inf) -> SpectralMatrix:
     """Estimate the one-sided cross-spectral density matrix up to ``f_max``.
 
-    The auto-spectra cover the whole grid and equal :func:`psd` of the same
-    record and options up to rounding.  The cross-spectra are stored on
+    The auto-spectra cover the whole grid and are :func:`psd`'s of the same
+    record and options, bit for bit.  The cross-spectra are stored on
     lines ``0`` through one past the first line at or above ``f_max`` (the
     whole grid for the default); each stored line is Hermitian by
     construction.  Every stored number equals the whole-grid estimate's.
     """
-    freqs, X, scale = _segment_ffts(record, options)
+    freqs, X, scale, auto = _segment_ffts(record, options)
     n = min(int(np.searchsorted(freqs, f_max)) + 2, freqs.size)
-    xc = np.conj(X)
     # G[f, j, k] = E[X_j(f) conj(X_k(f))], averaged over segments.  G[f, k, j]
     # sums the conjugates of the same products in the same order, so unfused
     # arithmetic makes each line exactly Hermitian; SpectralMatrix checks it.
-    g = np.einsum("sjf,skf->fjk", X[..., :n], xc[..., :n]) / X.shape[0]
+    g = np.einsum("sjf,skf->fjk", X[..., :n], np.conj(X[..., :n])) / X.shape[0]
     g *= scale[:n, None, None]
-    # Rounds as the diagonal of g does: the real part is taken last.
-    auto = np.real(np.einsum("sjf,sjf->fj", X, xc) / X.shape[0] * scale[:, None]).T
     return SpectralMatrix(freqs, g, auto)

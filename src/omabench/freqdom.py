@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import (MultiChannelRecord, SpectralEstimatorOptions, SpectralMatrix, fmt, psd,
-                  write_csv)
+from .dsp import (IdentificationError, MultiChannelRecord, SpectralEstimatorOptions,
+                  SpectralMatrix, fmt, psd, write_csv)
 
 __all__ = [
     "PeakOptions",
@@ -122,7 +122,7 @@ def unit_normalize(shape: np.ndarray) -> np.ndarray:
     v = np.asarray(shape, dtype=float)
     pivot = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., None], axis=-1)
     if np.any(pivot == 0.0):
-        raise ValueError("cannot normalize a zero shape")
+        raise IdentificationError("cannot normalize a zero shape")
     return v / pivot
 
 
@@ -155,7 +155,7 @@ def anpsd_from_densities(frequencies, densities) -> AnpsdCurve:
     power = p.sum(axis=1) * df
     keep = power > 0.0
     if not np.any(keep):
-        raise ValueError("all channels have zero power")
+        raise IdentificationError("all channels have zero power")
     norm = p[keep] / power[keep, None]
     curve = norm.mean(axis=0)
     excluded = tuple(int(i) for i in np.nonzero(~keep)[0])

@@ -23,8 +23,8 @@ import numpy as np
 
 from .beam import (BeamModel, GlobalSystem, ModalSolution, SUPPORTS, assemble_model,
                    modal_analysis, transient_response)
-from .dsp import (MultiChannelRecord, SpectralEstimatorOptions, band_limited_force,
-                  csd_matrix, derive_seed, fmt, force_lines, write_csv)
+from .dsp import (IdentificationError, MultiChannelRecord, SpectralEstimatorOptions,
+                  band_limited_force, csd_matrix, derive_seed, fmt, force_lines, write_csv)
 from .freqdom import (IdentifiedModeSet, PeakOptions, anpsd, fdd_identify, pp_identify,
                       unit_normalize, write_curve_csv)
 from .metrics import PairingOptions, mac, pair_to_reference, relative_error
@@ -432,11 +432,13 @@ def identify_record(record: MultiChannelRecord, artifacts: BeamArtifacts,
     """Identify ``record`` with each of ``config.methods`` and score it
     against the beam's FE reference, by method name.
 
-    Numerical and validation errors of an identifier, including those of the
-    CSD matrix that PP and FDD share, are recorded in its result and never
-    abort the others; any other exception propagates.  A record whose
-    channel count differs from the reference shapes' is the caller's error
-    and raises ``ValueError`` before any identifier runs.
+    An :class:`~omabench.dsp.IdentificationError` (a record too short or
+    without power or shape) or a ``LinAlgError`` of an identifier, including
+    those of the CSD matrix that PP and FDD share, is recorded in its result
+    and never aborts the others; any other exception, a plain ``ValueError``
+    included, is a programming error and propagates.  A record whose channel
+    count differs from the reference shapes' is the caller's error and
+    raises ``ValueError`` before any identifier runs.
     """
     n_ref = artifacts.reference_shapes.shape[0]
     if record.n_channels != n_ref:
@@ -454,7 +456,7 @@ def identify_record(record: MultiChannelRecord, artifacts: BeamArtifacts,
                 spectral = csd_matrix(record, config.estimator, f_max)
             mode_set = _IDENTIFIERS[name](record, config, spectral)
             methods[name] = _score_method(mode_set, ref_f, artifacts.reference_shapes, config)
-        except (ValueError, np.linalg.LinAlgError) as exc:  # identifier failure: record it
+        except (IdentificationError, np.linalg.LinAlgError) as exc:  # record it
             empty = (ModeOutcome(False, None, 0.0, None, None),) * ref_f.size
             note = f"failed: {type(exc).__name__}: {exc}"
             methods[name] = MethodResult(True, (note,), (), empty)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import linalg, signal
 from scipy.linalg import lapack
 
-from .dsp import MultiChannelRecord
+from .dsp import IdentificationError, MultiChannelRecord
 from .freqdom import IdentifiedMode, IdentifiedModeSet, align_to_real, unit_normalize
 from .metrics import mac
 
@@ -191,7 +191,7 @@ def _block_hankel(data: np.ndarray, n_block_rows: int) -> np.ndarray:
     l, n = data.shape
     j = n - n_block_rows + 1
     if j < 1:
-        raise ValueError("record too short for the requested block rows")
+        raise IdentificationError("record too short for the requested block rows")
     h = np.empty((n_block_rows * l, j))
     for k in range(n_block_rows):
         h[k * l:(k + 1) * l] = data[:, k:k + j]
@@ -238,8 +238,8 @@ def build_hankel(record: MultiChannelRecord,
     l = record.n_channels
     data, dt = _conditioned(record, options)
     if 2 * i * l > data.shape[1]:
-        raise ValueError("record too short: need (decimated) n_samples >= "
-                         "2 * block_rows * channels")
+        raise IdentificationError("record too short: need (decimated) n_samples >= "
+                                  "2 * block_rows * channels")
     h = _block_hankel(data, 2 * i)
     li = l * i
     # H = L Q^T; the projection of the future block rows F onto the past row

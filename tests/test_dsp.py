@@ -202,6 +202,19 @@ class TestBandLimitedForce:
             assert np.array_equal(row, single[0])
             assert np.sqrt(np.mean(row * row)) == pytest.approx(0.2, rel=1e-12)
 
+    def test_working_set_is_bounded(self):
+        """The spectra are released before the rows are scaled one at a
+        time: the traced peak stays within 2.2 times the result (ten rows of
+        the campaign's 50,001 samples)."""
+        seeds = [derive_seed(42, "force", "CF", k) for k in range(10)]
+        tracemalloc.start()
+        try:
+            x = band_limited_force(5.0, self.RATE, (1.0, 1500.0), 0.2, seeds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * x.nbytes
+
     def test_band_validation(self):
         with pytest.raises(ValueError):
             band_limited_force(1.0, self.RATE, (1.0, 5001.0), 0.2, [3])
@@ -239,9 +252,9 @@ class TestBandLimitedForce:
 
 class TestPsd:
     def test_working_set_is_bounded(self):
-        """Segments are windowed and transformed one at a time and squared
-        in place: the traced peak stays below 1.8 times the segment spectra
-        (nine Hann segments of four channels)."""
+        """Segments are windowed and transformed one at a time and their
+        powers summed one segment at a time: the traced peak stays below 1.4
+        times the segment spectra (nine Hann segments of four channels)."""
         rec = MultiChannelRecord(10000.0, np.random.default_rng(1).standard_normal((4, 20001)))
         options = SpectralEstimatorOptions()
         tracemalloc.start()
@@ -250,7 +263,7 @@ class TestPsd:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.8 * options.segments * rec.n_channels * freqs.size * 16
+        assert peak <= 1.4 * options.segments * rec.n_channels * freqs.size * 16
 
     def test_parseval_single_segment(self):
         """One full-record rectangular segment integrates back to the power."""
@@ -313,14 +326,14 @@ class TestCsdMatrix:
         G = csd_matrix(rec, SINGLE)
         _, dens = psd(rec, SINGLE)
         assert G.n_channels == 1
-        np.testing.assert_allclose(np.real(G.values[:, 0, 0]), dens[0], rtol=1e-9)
+        assert np.array_equal(np.real(G.values[:, 0, 0]), dens[0])
 
     def test_diagonal_matches_psd_with_averaging(self):
         rec = MultiChannelRecord(1000.0, np.random.default_rng(8).standard_normal((3, 4096)))
         opts = SpectralEstimatorOptions("hann", 4, 0.5)
         G = csd_matrix(rec, opts)
         _, dens = psd(rec, opts)
-        np.testing.assert_allclose(G.auto_spectra, dens, rtol=1e-9, atol=1e-300)
+        assert np.array_equal(G.auto_spectra, dens)
 
     def test_duplicated_channel_full_coherence(self):
         x = gaussian_white(4096, 6)
@@ -363,6 +376,21 @@ class TestCsdMatrix:
         assert np.array_equal(band.values, full.values[:n])
         assert np.array_equal(full.auto_spectra, np.real(np.einsum("fii->if", full.values)))
         assert np.array_equal(band.auto_spectra, full.auto_spectra)
+
+    def test_working_set_is_bounded(self):
+        """Only the stored lines are conjugated: with the campaign estimator
+        and f_max = 300 Hz the traced peak stays below 1.6 times the segment
+        spectra (four channels)."""
+        rec = MultiChannelRecord(10000.0, np.random.default_rng(1).standard_normal((4, 20001)))
+        options = SpectralEstimatorOptions()
+        tracemalloc.start()
+        try:
+            G = csd_matrix(rec, options, f_max=300.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert G.values.shape[0] < G.frequencies.size
+        assert peak <= 1.6 * options.segments * rec.n_channels * G.frequencies.size * 16
 
     def test_positive_semidefinite_when_averaged(self):
         """With segments >= channels every line is PSD within -1e-9."""

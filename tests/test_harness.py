@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 from omabench import freqdom
-from omabench.dsp import SpectralEstimatorOptions, csd_matrix
-from omabench.freqdom import PeakOptions
+from omabench.dsp import MultiChannelRecord, SpectralEstimatorOptions, csd_matrix
+from omabench.freqdom import PeakOptions, anpsd_from_densities
 from omabench.harness import (_JSON, BeamConfig, CampaignConfig, BenchmarkReport,
                               MethodResult, ModeOutcome, RunResult, campaign_pool,
                               default_beams, fe_reference, identify_record, run_campaign,
@@ -293,6 +293,25 @@ class TestRunSingle:
         assert ssi.notes == ("failed: LinAlgError: SVD did not converge",)
         assert not any(o.identified for o in ssi.modes)
         assert not result.methods["PP"].failed
+
+    def test_plain_value_errors_propagate(self, cf, config, monkeypatch):
+        """A plain ValueError, such as numpy's broadcast error, is a
+        programming error: it leaves run_single and a pooled campaign."""
+        def broken(*args, **kwargs):
+            return np.ones(3) + np.ones(4)
+
+        monkeypatch.setattr("omabench.harness.ssi_identify", broken)
+        with pytest.raises(ValueError, match="broadcast"):
+            run_single(cf, config, 1, 0)
+        with pytest.raises(ValueError, match="broadcast"):
+            run_campaign(small_config(methods=("SSI",)), jobs=2, artifacts={"CF": cf})
+
+    def test_short_record_is_an_identification_error(self, cf, config):
+        """Each method files a record too short for it as IdentificationError."""
+        rec = MultiChannelRecord(cf.clean_record.sample_rate, cf.clean_record.data[:, :51])
+        for name, result in identify_record(rec, cf, config).items():
+            assert result.failed
+            assert result.notes[0].startswith("failed: IdentificationError: "), name
 
     def test_programming_errors_propagate(self, cf, config, monkeypatch):
         def broken(*args, **kwargs):
@@ -572,6 +591,18 @@ class TestTables:
         assert names <= have
         for name in names:
             assert os.path.getsize(os.path.join(outdir, name)) > 0
+
+    def test_anpsd_curve_is_the_one_pp_picked_on(self, outdir, cf_campaign, noisy_record):
+        """Each cell's ANPSD file holds, value for value, the curve PP picked
+        its peaks on: the ANPSD of the worst run's CSD auto-spectra."""
+        for nl, level in enumerate(CAMPAIGN_LEVELS):
+            run = cf_campaign.worst_run("CF", nl, "PP").run_index
+            g = csd_matrix(noisy_record("CF", level, run), cf_campaign.config.estimator)
+            curve = anpsd_from_densities(g.frequencies, g.auto_spectra)
+            rows = np.loadtxt(os.path.join(outdir, f"anpsd_CF_{level!r}.csv"),
+                              delimiter=",", skiprows=1)
+            assert np.array_equal(rows[:, 0], curve.frequencies)
+            assert np.array_equal(rows[:, 1], curve.values)
 
     def test_freq_table_clean_row_has_no_dashes(self, outdir):
         rows = self._freq_rows(outdir, "PP")
