@@ -39,9 +39,10 @@ MAX_SAMPLES = 10 ** 8
 
 
 class IdentificationError(ValueError):
-    """A record an identifier cannot read: too short for its estimator, or
-    without power or shape.  :func:`omabench.harness.identify_record` files
-    it as that method's failure; any other error is the caller's."""
+    """A record an identifier cannot read: too short for its estimator,
+    without power or shape, or with spectra too large to square.
+    :func:`omabench.harness.identify_record` files it as that method's
+    failure; any other error is the caller's."""
 
 
 def derive_seed(*parts) -> int:
@@ -390,9 +391,10 @@ def _segment_ffts(record: MultiChannelRecord, options: SpectralEstimatorOptions)
     # power summed, so the windowed copies are never all held at once.
     X = np.empty((len(starts), record.n_channels, freqs.size), dtype=complex)
     auto = np.zeros(X.shape[1:])
-    for x, s0 in zip(X, starts):
-        np.fft.rfft(record.data[:, s0:s0 + nseg] * w, axis=-1, out=x)
-        auto += x.real * x.real + x.imag * x.imag
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        for x, s0 in zip(X, starts):
+            np.fft.rfft(record.data[:, s0:s0 + nseg] * w, axis=-1, out=x)
+            auto += x.real * x.real + x.imag * x.imag
     # One-sided density scaling; DC (and Nyquist for even lengths) not doubled.
     scale = np.full(freqs.size, 2.0 / (record.sample_rate * u))
     scale[0] = 1.0 / (record.sample_rate * u)
@@ -402,6 +404,9 @@ def _segment_ffts(record: MultiChannelRecord, options: SpectralEstimatorOptions)
     # a real count: the auto-spectra equal its tensor diagonal bit for bit.
     auto *= 1.0 / len(starts)
     auto *= scale
+    if not np.isfinite(auto).all():
+        raise IdentificationError("auto-spectra are not finite: the record's "
+                                  "spectra overflow when squared")
     return freqs, X, scale, auto
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
-from scipy import linalg, signal
+from scipy import linalg
 from scipy.linalg import lapack
 
 from .dsp import IdentificationError, MultiChannelRecord
@@ -199,18 +199,56 @@ def _block_hankel(data: np.ndarray, n_block_rows: int) -> np.ndarray:
     return h
 
 
+def _decimate(data: np.ndarray, q: int) -> np.ndarray:
+    """Each row low-pass filtered and kept at every ``q``-th sample:
+    ``scipy.signal.resample_poly(data, 1, q, axis=1)`` up to rounding.
+
+    The filter is ``resample_poly``'s default: ``20 q + 1`` Kaiser-windowed
+    (beta 5) sinc taps with cutoff ``1 / q`` of Nyquist and unit DC gain.
+    Output sample ``i`` is centred on input sample ``i q``, zeros stand in
+    past both ends, and there are ``ceil(n / q)`` outputs.  It is computed in
+    polyphase form: input phase ``s`` (samples ``s, s + q, ...``) meets the
+    taps ``-s (mod q), -s + q, ...`` in one ``np.convolve``.
+    """
+    m = np.arange(-10 * q, 10 * q + 1)
+    h = np.sinc(m / q) * np.kaiser(m.size, 5.0)
+    h /= h.sum()
+    n = data.shape[1]
+    n_out = -(-n // q)
+    out = np.zeros((data.shape[0], n_out))
+    for s in range(min(q, n)):
+        first = -s % q
+        # Tap first + k q meets input sample (i + lag - k) q + s of output i.
+        lag = (10 * q - first - s) // q
+        taps = h[first::q]
+        for row, x in zip(out, data):
+            row += np.convolve(x[s::q], taps)[lag:lag + n_out]
+    return out
+
+
+def _detrend(data: np.ndarray) -> np.ndarray:
+    """Each row less its least-squares line: ``scipy.signal.detrend(data,
+    axis=1)`` bit for bit, the same ``lstsq`` on the same ``[t / N, 1]``
+    columns and the same transposed layout."""
+    n = data.shape[1]
+    a = np.ones((n, 2))
+    a[:, 0] = np.arange(1, n + 1, dtype=float) / n
+    cols = data.T.copy()
+    return (cols - a @ linalg.lstsq(a, cols)[0]).T
+
+
 def _conditioned(record: MultiChannelRecord, options: SsiOptions) -> tuple[np.ndarray, float]:
     """The channels after decimation, integration and mean removal, and their
     sample interval."""
     dt = 1.0 / record.sample_rate
     data = record.data
     if options.decimate > 1:
-        data = signal.resample_poly(data, up=1, down=options.decimate, axis=1)
+        data = _decimate(data, options.decimate)
         dt *= options.decimate
     for _ in range(options.integrate):
         # Cumulative integration plus linear detrend: the drift from the
         # unknown integration constant must not enter the row space.
-        data = signal.detrend(np.cumsum(data, axis=1) * dt, axis=1)
+        data = _detrend(np.cumsum(data, axis=1) * dt)
     if options.detrend:
         data = data - data.mean(axis=1, keepdims=True)
     return data, dt

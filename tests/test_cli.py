@@ -731,6 +731,19 @@ class TestPublicNames:
         assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
+class TestImportFootprint:
+    def test_import_leaves_out_scipy_signal_optimize_stats(self):
+        """``import omabench`` loads numpy and ``scipy.linalg`` only: every
+        command process and forked worker would otherwise also carry
+        ``scipy.signal``'s hundreds of modules."""
+        code = ("import sys, omabench, omabench.cli; print(sorted("
+                "{'scipy.signal', 'scipy.optimize', 'scipy.stats'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=cli_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestJobs:
     def test_explicit_wins(self):
         assert resolve_jobs(3) == 3

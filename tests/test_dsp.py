@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omabench.dsp import (MAX_SAMPLES, MultiChannelRecord, SpectralEstimatorOptions,
+from omabench.dsp import (MAX_SAMPLES, IdentificationError, MultiChannelRecord,
+                          SpectralEstimatorOptions,
                           band_limited_force, csd_matrix, derive_seed, fmt,
                           force_lines, gaussian_white, psd, write_csv)
 
@@ -264,6 +265,15 @@ class TestPsd:
         finally:
             tracemalloc.stop()
         assert peak <= 1.4 * options.segments * rec.n_channels * freqs.size * 16
+
+    def test_overflow_is_an_identification_error(self):
+        """Amplitudes near 1e300 are finite, but their squared spectra are not:
+        psd and csd_matrix both refuse the record."""
+        rec = MultiChannelRecord(1000.0, np.random.default_rng(2).standard_normal((3, 4000)) * 1e300)
+        with pytest.raises(IdentificationError, match="not finite"):
+            psd(rec)
+        with pytest.raises(IdentificationError, match="not finite"):
+            csd_matrix(rec)
 
     def test_parseval_single_segment(self):
         """One full-record rectangular segment integrates back to the power."""

@@ -313,6 +313,18 @@ class TestRunSingle:
             assert result.failed
             assert result.notes[0].startswith("failed: IdentificationError: "), name
 
+    def test_overflowing_spectra_are_an_identification_error(self, cf):
+        """A finite record whose segment spectra overflow when squared fails
+        PP and FDD alike with IdentificationError; PP used to return no modes
+        and no note, FDD a LinAlgError."""
+        data = np.random.default_rng(5).standard_normal(cf.clean_record.data.shape) * 1e300
+        rec = MultiChannelRecord(cf.clean_record.sample_rate, data)
+        results = identify_record(rec, cf, small_config(methods=("PP", "FDD")))
+        for name, result in results.items():
+            assert result.failed, name
+            assert result.notes == ("failed: IdentificationError: auto-spectra are not "
+                                    "finite: the record's spectra overflow when squared",)
+
     def test_programming_errors_propagate(self, cf, config, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("bad call")

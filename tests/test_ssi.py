@@ -18,10 +18,12 @@ from scipy import linalg
 from omabench.dsp import MultiChannelRecord
 from omabench.metrics import mac
 from omabench.freqdom import IdentifiedMode, align_to_real, unit_normalize
-from omabench.harness import CampaignConfig, identify_record
+from omabench.harness import BeamConfig, CampaignConfig, identify_record, simulate_beam
 from omabench.ssi import (SsiOptions, build_hankel, clip_to_passband, realize_modes,
                           ssi_identify, stabilization, _block_hankel, _conditioned,
-                          _merge_duplicate_shapes)
+                          _decimate, _detrend, _merge_duplicate_shapes)
+
+from conftest import MASTER_SEED
 
 RAW = SsiOptions(block_rows=10, decimate=1, integrate=0)
 FREE_DECAY = replace(RAW, detrend=False)
@@ -104,6 +106,45 @@ class TestHankelOptions:
         with pytest.raises(ValueError):
             opt.resolve_orders(9)
         assert opt.resolve_orders(10) == (2, 96)
+
+
+class TestConditioning:
+    """The decimator and the linear detrend against ``scipy.signal``, which
+    the package itself does not import."""
+
+    @staticmethod
+    def _check_decimate(x, q):
+        from scipy.signal import resample_poly
+
+        want = resample_poly(x, 1, q, axis=1)
+        got = _decimate(x, q)
+        assert got.shape == want.shape == (x.shape[0], -(-x.shape[1] // q))
+        peak = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-13 * peak)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    @pytest.mark.parametrize("n", [1, 2, 6, 13, 200, 2001])
+    def test_decimate_matches_resample_poly(self, q, n):
+        """Within 1e-13 of each row's peak, on even, odd and short rows
+        (shorter than one phase per output and than the filter)."""
+        self._check_decimate(np.random.default_rng(1000 * q + n).standard_normal((3, n)), q)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_decimate_short_cf_record(self, q):
+        """The 0.05 s (501-sample) CF record that CI runs ``bench`` on."""
+        rec = simulate_beam(BeamConfig("CF", "CF", duration=0.05), MASTER_SEED).clean_record
+        assert rec.n_samples == 501
+        self._check_decimate(rec.data, q)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 501, 10001])
+    def test_detrend_equals_signal_detrend(self, n):
+        """Bit for bit, on rows and on the transposed rows that a second
+        integration passes."""
+        from scipy.signal import detrend
+
+        x = np.random.default_rng(n).standard_normal((4, n))
+        for data in (x, np.cumsum(x, axis=1), detrend(x, axis=1)):
+            assert np.array_equal(_detrend(data), detrend(data, axis=1))
 
 
 class TestBuildHankel:
