@@ -9,7 +9,7 @@ simply supported (SS), clamped-simply supported (CS) and clamped-clamped
 Measurement channels are the free vertical translation DOFs, ordered by node
 number; transient analysis returns accelerations at those channels computed
 by modal superposition with the exact piecewise-linear-excitation recurrence,
-evaluated as one second-order IIR filter per mode, so the integrator adds no
+evaluated as second-order IIR filters per mode, so the integrator adds no
 algorithmic damping or period distortion at any step size.
 """
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import blas
+from scipy.linalg import lapack
 
 from .dsp import MultiChannelRecord
 
@@ -350,22 +350,18 @@ def _recurrence_coefficients(omega: np.ndarray, zeta: float, dt: float):
 
 
 def _modal_filters(omega: np.ndarray, zeta: float, dt: float):
-    """Per-mode second-order IIR filters from modal force to ``q``, ``q'``, ``q''``.
+    """Per-mode second-order IIR filters from modal force to ``q`` and ``q'``.
 
     The recurrence of :func:`_recurrence_coefficients` is a time-invariant
     2x2 state update ``x+ = M x + C p0 + D p1`` per mode, so ``q`` and ``q'``
     are each a second-order IIR filter of the modal force.  The denominator
     is ``det(zI - M)``; the numerators are the rows of ``adj(zI - M)(C + D z)``.
-    ``q''`` is the equation of motion solved for it, ``p - 2 zeta w q' - w^2 q``,
-    so its filter shares the denominator and its numerator and initial state
-    combine the other two the same way (``p`` itself is the filter ``den / den``
-    from a zero state).
 
     Returns ``den`` of shape ``(n_modes, 3)``, ``num`` of shape
-    ``(3, n_modes, 3)`` and ``zi`` of shape ``(3, n_modes, 2)``, the leading
-    axis running over ``q``, ``q'``, ``q''``.  ``zi`` is the initial state
-    per unit first force sample: it cancels the feed-through ``D p[0]``, so
-    every history starting from rest is zero at sample 0 whatever ``p[0]``.
+    ``(2, n_modes, 3)`` and ``zi`` of shape ``(2, n_modes, 2)``, the leading
+    axis running over ``q``, ``q'``.  ``zi`` is the initial state per unit
+    first force sample: it cancels the feed-through ``D p[0]``, so both
+    histories are zero at sample 0 whatever ``p[0]``.
     """
     a, b, cc, dd, a1, b1, c1, d1 = _recurrence_coefficients(omega, zeta, dt)
     den = np.stack([np.ones_like(a), -(a + b1), a * b1 - b * a1], axis=1)
@@ -373,27 +369,48 @@ def _modal_filters(omega: np.ndarray, zeta: float, dt: float):
     num_qd = np.stack([d1, c1 - a * d1 + a1 * dd, a1 * cc - a * c1], axis=1)
     zi_q = np.stack([-dd, b1 * dd - b * d1], axis=1)
     zi_qd = np.stack([-d1, a * d1 - a1 * dd], axis=1)
-    damping = (2.0 * zeta * omega)[:, None]
-    stiffness = (omega ** 2)[:, None]
-    num_qdd = den - damping * num_qd - stiffness * num_q
-    zi_qdd = -damping * zi_qd - stiffness * zi_q
-    return den, np.stack([num_q, num_qd, num_qdd]), np.stack([zi_q, zi_qd, zi_qdd])
+    return den, np.stack([num_q, num_qd]), np.stack([zi_q, zi_qd])
 
 
 def _iir_filter(b: np.ndarray, a: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
-    """``scipy.signal.lfilter(b, a, x, zi=zi)[0]`` for second-order ``b``, ``a``
-    with ``a[0] == 1``, up to rounding.
+    """``scipy.signal.lfilter(b[k], a, x, zi=zi[k])[0]`` for each row ``k``
+    of the second-order numerators ``b`` and states ``zi``, with one shared
+    ``a`` and ``a[0] == 1``, up to rounding.
 
-    The numerator runs as an FIR, the initial state enters the first two
-    samples, and the recursion ``y[n] + a[1] y[n-1] + a[2] y[n-2] = v[n]`` is
-    a unit-lower triangular banded solve (BLAS ``dtbsv``).
+    Each numerator runs as an FIR and its initial state enters the first two
+    samples; the recursion ``y[n] + a[1] y[n-1] + a[2] y[n-2] = v[n]`` is one
+    unit-lower triangular banded solve with a right-hand side per row
+    (LAPACK ``dtbtrs``).  Returns shape ``(len(b), x.size)``.
     """
-    v = np.convolve(x, b)[:x.size]
-    v[:2] += zi[:v.size]
+    v = np.empty((len(b), x.size))
+    for vk, bk, zk in zip(v, b, zi):
+        vk[:] = np.convolve(x, bk)[:x.size]
+        vk[:2] += zk[:x.size]
     band = np.empty((3, x.size), order="F")  # row 0, the unit diagonal, is not read
     band[1] = a[1]
     band[2] = a[2]
-    return blas.dtbsv(2, band, v, lower=1, diag=1, overwrite_x=1)
+    y, _ = lapack.dtbtrs(band, v.T, uplo="L", diag="U", overwrite_b=1)
+    return y.T
+
+
+def _modal_superposition(omega: np.ndarray, zeta: float, p: np.ndarray, dt: float):
+    """Integrate each modal SDOF in turn, yielding its (q, qdot, qddot) rows.
+
+    The modal forces ``p`` have shape ``(n_modes, n_samples)``; mode ``m``'s
+    three rows have ``n_samples`` entries each and are built from ``p[m]``
+    alone, which is not read again once they are yielded, so a caller may
+    overwrite it with them.  The system starts from rest.  ``q`` and ``q'``
+    come from one :func:`_iir_filter` call on :func:`_modal_filters`;
+    ``q''`` is the equation of motion solved for it,
+    ``p - 2 zeta w q' - w^2 q``, element by element the same operations as
+    that expression broadcast over all modes at once.
+    """
+    den, num, zi = _modal_filters(omega, zeta, dt)
+    damping = 2.0 * zeta * omega
+    stiffness = omega ** 2
+    for m in range(omega.size):
+        q, qd = _iir_filter(num[:, m], den[m], p[m], zi[:, m] * p[m, 0])
+        yield q, qd, p[m] - damping[m] * qd - stiffness[m] * q
 
 
 def transient_response(system: GlobalSystem, modal: ModalSolution,
@@ -406,21 +423,20 @@ def transient_response(system: GlobalSystem, modal: ModalSolution,
     absolute accelerations at those channels with ``forces.n_samples``
     samples at ``forces.sample_rate``.
 
-    Each mode's acceleration is one second-order IIR filter of its modal
-    force (:func:`_modal_filters`); the modal displacements and velocities
-    are never formed.  The working set is one ``(n_modes, n_samples)``
-    array, the modal forces, which each mode's accelerations overwrite as
-    that mode is filtered, plus one mode's filter temporaries.  The array is
-    released once it is projected onto the channels.
+    The working set is one ``(n_modes, n_samples)`` array, the modal forces,
+    which each mode's accelerations overwrite as that mode is integrated,
+    plus one mode's histories at a time: the modal displacements and
+    velocities are never held for all modes.  The array is released once
+    it is projected onto the channels.
     """
     if forces.n_channels != system.n_channels:
         raise ValueError("forces must supply one channel per free vertical DOF")
     phi_ch = modal.channel_shapes(system)           # channels x modes
     omega = 2.0 * np.pi * modal.frequencies
     p = phi_ch.T @ forces.data                      # modal forces, then accelerations
-    den, num, zi = _modal_filters(omega, modal.damping_ratio, 1.0 / forces.sample_rate)
-    for m in range(omega.size):
-        p[m] = _iir_filter(num[2, m], den[m], p[m], zi[2, m] * p[m, 0])
+    modes = _modal_superposition(omega, modal.damping_ratio, p, 1.0 / forces.sample_rate)
+    for m, (_, _, qdd_m) in enumerate(modes):
+        p[m] = qdd_m
     acc = phi_ch @ p
     del p
     return MultiChannelRecord(forces.sample_rate, acc, system.channel_labels)

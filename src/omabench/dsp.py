@@ -391,19 +391,19 @@ def _segment_ffts(record: MultiChannelRecord, options: SpectralEstimatorOptions)
     # power summed, so the windowed copies are never all held at once.
     X = np.empty((len(starts), record.n_channels, freqs.size), dtype=complex)
     auto = np.zeros(X.shape[1:])
-    with np.errstate(over="ignore"):  # an overflow is refused below
-        for x, s0 in zip(X, starts):
-            np.fft.rfft(record.data[:, s0:s0 + nseg] * w, axis=-1, out=x)
-            auto += x.real * x.real + x.imag * x.imag
     # One-sided density scaling; DC (and Nyquist for even lengths) not doubled.
     scale = np.full(freqs.size, 2.0 / (record.sample_rate * u))
     scale[0] = 1.0 / (record.sample_rate * u)
     if nseg % 2 == 0:
         scale[-1] = 1.0 / (record.sample_rate * u)
-    # By the reciprocal count, as numpy divides csd_matrix's complex sums by
-    # a real count: the auto-spectra equal its tensor diagonal bit for bit.
-    auto *= 1.0 / len(starts)
-    auto *= scale
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        for x, s0 in zip(X, starts):
+            np.fft.rfft(record.data[:, s0:s0 + nseg] * w, axis=-1, out=x)
+            auto += x.real * x.real + x.imag * x.imag
+        # By the reciprocal count, as numpy divides csd_matrix's complex sums
+        # by a real count: the auto-spectra equal its tensor diagonal bit for bit.
+        auto *= 1.0 / len(starts)
+        auto *= scale
     if not np.isfinite(auto).all():
         raise IdentificationError("auto-spectra are not finite: the record's "
                                   "spectra overflow when squared")

@@ -267,13 +267,16 @@ class TestPsd:
         assert peak <= 1.4 * options.segments * rec.n_channels * freqs.size * 16
 
     def test_overflow_is_an_identification_error(self):
-        """Amplitudes near 1e300 are finite, but their squared spectra are not:
-        psd and csd_matrix both refuse the record."""
-        rec = MultiChannelRecord(1000.0, np.random.default_rng(2).standard_normal((3, 4000)) * 1e300)
-        with pytest.raises(IdentificationError, match="not finite"):
-            psd(rec)
-        with pytest.raises(IdentificationError, match="not finite"):
-            csd_matrix(rec)
+        """Amplitudes near 1e300 are finite, but their squared spectra are not;
+        near 1e151 the summed squares are finite but a low sample rate's
+        density scale is not: psd and csd_matrix both refuse each record."""
+        data = np.random.default_rng(2).standard_normal((3, 4000))
+        for scale, rate in ((1e300, 1000.0), (1e151, 1e-9)):
+            rec = MultiChannelRecord(rate, data * scale)
+            with pytest.raises(IdentificationError, match="not finite"):
+                psd(rec)
+            with pytest.raises(IdentificationError, match="not finite"):
+                csd_matrix(rec)
 
     def test_parseval_single_segment(self):
         """One full-record rectangular segment integrates back to the power."""
