@@ -61,6 +61,8 @@ class PeakOptions:
             raise ValueError("prominence_db must be >= 0")
         if self.min_separation_hz < 0:
             raise ValueError("min_separation_hz must be >= 0")
+        if len(self.band) != 2:
+            raise ValueError("band must be a pair [lo, hi]")
         lo, hi = self.band
         if not (0.0 <= lo < hi):
             raise ValueError("band must satisfy 0 <= lo < hi")

@@ -17,7 +17,7 @@ from collections import Counter
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, field, fields, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -489,8 +489,9 @@ def _worker_run(task):
     return run_single(artifacts[beam_id], config, nl_index, run_index)
 
 
-def _write_worst_curve(config: CampaignConfig, artifacts: dict, task) -> None:
-    """Write the ANPSD curve of one cell's worst run, re-corrupted as it ran.
+def _write_worst_curve(config: CampaignConfig, artifacts: dict, task) -> str:
+    """Write the ANPSD curve of one cell's worst run, re-corrupted as it ran,
+    and return its path.
 
     ``task`` is ``(beam_id, nl_index, run_index, path)``.
     """
@@ -498,17 +499,19 @@ def _write_worst_curve(config: CampaignConfig, artifacts: dict, task) -> None:
     noisy, _ = _noisy_record(artifacts[beam_id], config, nl_index, run_index)
     curve = anpsd(noisy, config.estimator)
     write_curve_csv(path, curve.frequencies, curve.values)
+    return path
 
 
-def _worker_curve(task) -> None:
-    _write_worst_curve(*_WORKER_ARGS, task)
+def _worker_curve(task) -> str:
+    return _write_worst_curve(*_WORKER_ARGS, task)
 
 
 def campaign_pool(config: CampaignConfig, artifacts: dict, jobs: int) -> ProcessPoolExecutor:
-    """``jobs`` worker processes that hold ``config`` and its simulated beams,
-    for :func:`run_campaign` and then :func:`summarize_and_tables`."""
-    return ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init,
-                               initargs=(config, artifacts))
+    """``jobs`` worker processes, at most one per core, that hold ``config``
+    and its simulated beams, for :func:`run_campaign` and then
+    :func:`summarize_and_tables`."""
+    return ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1),
+                               initializer=_worker_init, initargs=(config, artifacts))
 
 
 @dataclass(frozen=True)
@@ -608,7 +611,8 @@ class BenchmarkReport:
 
     @classmethod
     def from_json(cls, path) -> "BenchmarkReport":
-        """Load a stored report's config and results.  Every stored value
+        """Load a stored report's config and results.  Its ``schema_version``
+        is checked as a config's is: absent means 1.  Every stored value
         must fit its field's type, by the rule the config is read by; every
         result must fit the config (:func:`_misfit`) and not repeat the
         (beam, level, run) of an earlier one.  Else ``ValueError``.  Runs
@@ -623,6 +627,9 @@ class BenchmarkReport:
                 doc = json.load(fh)
             if not isinstance(doc, dict):
                 raise ValueError("a report must be an object")
+            version = doc.get("schema_version", SCHEMA_VERSION)
+            if version != SCHEMA_VERSION:
+                raise ValueError(f"unsupported report schema_version {version}")
             try:
                 config, stored = doc["config"], doc["results"]
             except KeyError as exc:
@@ -710,7 +717,8 @@ def summarize_and_tables(report: BenchmarkReport, outdir, artifacts: dict,
     first configured method (PP when present).  Each cell's ANPSD curve
     re-corrupts its worst run; with ``pool`` (:func:`campaign_pool` of the
     report's campaign) the workers write the curves while this process
-    writes the rest.  Returns the written paths.
+    writes the rest, else this process writes them last.  Returns the
+    written paths, the curves' last.
     """
     config = report.config
     written = []
@@ -725,18 +733,15 @@ def summarize_and_tables(report: BenchmarkReport, outdir, artifacts: dict,
     tags = [fmt(level) for level in config.noise_levels]
     snrs = [fmt(math.inf if level == 0 else noise_level_to_snr_db(level))
             for level in config.noise_levels]
-    # Worst-case run of every (beam, level) cell, shared by all the tables.
+    # Worst-case run of every (beam, level) cell, in config order, shared by all the outputs.
     rank_by = "PP" if "PP" in methods else methods[0]
-    worst = {(bc.beam_id, nl): report.worst_run(bc.beam_id, nl, rank_by)
-             for bc in config.beams for nl in levels}
-    # One curve task per cell: a pool's workers take them all now, while this
-    # process writes the other files; without a pool they run in turn below.
-    curves = {(bc.beam_id, nl): (bc.beam_id, nl, worst[bc.beam_id, nl].run_index,
-                                 os.path.join(outdir, f"anpsd_{bc.beam_id}_{tags[nl]}.csv"))
-              for bc in config.beams for nl in levels}
+    worst = {cell: report.worst_run(*cell, rank_by) for cell in report._cells}
+    tasks = [(beam_id, nl, run.run_index, os.path.join(outdir, f"anpsd_{beam_id}_{tags[nl]}.csv"))
+             for (beam_id, nl), run in worst.items()]
     os.makedirs(outdir, exist_ok=True)  # only once every cell has a worst run
-    pending = ([pool.submit(_worker_curve, task) for task in curves.values()]
-               if pool is not None else [])
+    # A pool's workers take every curve now; the serial map writes them as it is read, last.
+    curves = (pool.map(_worker_curve, tasks) if pool is not None else
+              map(partial(_write_worst_curve, config, artifacts), tasks))
 
     report.to_json(path("report.json"))
     with open(path("config_resolved.json"), "w", encoding="utf-8", newline="\n") as fh:
@@ -744,7 +749,7 @@ def summarize_and_tables(report: BenchmarkReport, outdir, artifacts: dict,
         fh.write("\n")
 
     stats = report.mac_statistics()
-
+    err_rows = []
     for bc in config.beams:
         beam_id = bc.beam_id
         write_csv(path(f"table_freq_{beam_id}.csv"),
@@ -760,15 +765,18 @@ def summarize_and_tables(report: BenchmarkReport, outdir, artifacts: dict,
                    [fmt(stats[beam_id][name][k][nl][s]) for s in ("min", "mean", "std")] +
                    [fmt(worst[beam_id, nl].methods[name].modes[k].mac)]
                    for nl in levels for name in methods for k in modes))
+        for name in methods:
+            for k in modes:
+                outcomes = [worst[beam_id, nl].methods[name].modes[k] for nl in levels]
+                errs = [o.rel_err_pct for o in outcomes if o.identified]
+                err_rows.append([beam_id, name, str(k + 1),
+                                 fmt(np.mean(errs) if errs else None)])
 
-        # Plot data: ANPSD of the worst run per level, reference + identified shapes.
+        # Plot data: reference + identified shapes of the worst run per level.
         art = artifacts[beam_id]
         coords = art.system.channel_coords
         for nl in levels:
             wrun = worst[beam_id, nl]
-            written.append(curves[beam_id, nl][-1])
-            if pool is None:
-                _write_worst_curve(config, artifacts, curves[beam_id, nl])
             for k in modes:
                 ref_shape = unit_normalize(art.reference_shapes[:, k])
                 shapes = [wrun.methods[name].modes[k].shape for name in methods]
@@ -778,15 +786,6 @@ def summarize_and_tables(report: BenchmarkReport, outdir, artifacts: dict,
                            [fmt(shape[c] if shape is not None else None) for shape in shapes]
                            for c in range(coords.size)))
 
-    rows = []
-    for bc in config.beams:
-        for name in methods:
-            for k in modes:
-                outcomes = [worst[bc.beam_id, nl].methods[name].modes[k] for nl in levels]
-                errs = [o.rel_err_pct for o in outcomes if o.identified]
-                rows.append([bc.beam_id, name, str(k + 1),
-                             fmt(np.mean(errs) if errs else None)])
-    write_csv(path("table_err.csv"), ["beam", "method", "mode", "mean_rel_err_pct"], rows)
-    for future in pending:
-        future.result()  # a worker's error is raised here
+    write_csv(path("table_err.csv"), ["beam", "method", "mode", "mean_rel_err_pct"], err_rows)
+    written.extend(curves)  # each curve's path; a worker's error is raised here
     return written

@@ -130,6 +130,7 @@ class TestExitCodes:
                     {"beams": [{"beam_id": "A", "support": "CF", "force_band": [1500.0, 1.0]}]},
                     {"beams": [{"beam_id": "A", "support": "CF", "force_band": [1.0]}]},
                     {"beams": [{"beam_id": "A", "support": "CF", "force_rms": 0.0}]},
+                    {"peaks": {"band": [0.5, 300.0, 400.0]}}, {"peaks": {"band": [0.5]}},
                     {"noise_levels": [float("nan")]},
                     {"peaks": {"prominence_db": float("nan")},
                      "ssi": {"freq_rel": float("nan")}},
@@ -158,6 +159,7 @@ class TestExitCodes:
         assert "n_elements must be >= 1" in err
         assert "force_band must satisfy 0 <= lo < hi <= Nyquist (5000 Hz)" in err
         assert "force_band must be a pair [lo, hi]" in err
+        assert "bench failed: band must be a pair [lo, hi]" in err
         assert "force_rms must be positive" in err
         assert "n_modes must be >= 1" in err
         assert "beam CF has 20 FE modes, fewer than n_modes = 30" in err
@@ -629,7 +631,9 @@ class TestReport:
             shape=[0.5] * 9 + [float("inf")])),
          "report key 'results[1].methods.PP.modes[2].shape[9]' must be a finite number"),
         (in_place(lambda doc: doc["results"][1]["methods"]["PP"]["notes"].insert(0, 5)),
-         "report key 'results[1].methods.PP.notes[0]' must be a string")],
+         "report key 'results[1].methods.PP.notes[0]' must be a string"),
+        (in_place(lambda doc: doc.update(schema_version=99)),
+         "unsupported report schema_version 99")],
         ids=["n_modes", "method", "snr_db", "beam", "nl_index", "no_runs", "not_object",
              "results_not_list", "result_not_object", "methods_not_object",
              "method_not_object", "outcome_not_object", "short_shapes", "notes_number",
@@ -637,7 +641,7 @@ class TestReport:
              "snr_db_string", "mac_string", "identified_string", "frequency_string",
              "failed_string", "noise_level", "run_index", "run_index_float", "nl_index_float",
              "repeated_run", "shape_strings", "frequency_entry_string", "snr_db_entry_string",
-             "shape_entry_infinite", "notes_entry_number"])
+             "shape_entry_infinite", "notes_entry_number", "schema_99"])
     def test_report_disagreeing_with_config_exits_before_out(self, bench_out, tmp_path,
                                                             edit, message, capsys):
         """A stored report whose results do not fit its config, that lacks a

@@ -13,12 +13,13 @@ import json
 import math
 import os
 import re
+from contextlib import nullcontext
 from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
-from omabench import freqdom
+from omabench import freqdom, harness
 from omabench.dsp import MultiChannelRecord, SpectralEstimatorOptions, csd_matrix
 from omabench.freqdom import PeakOptions, anpsd_from_densities
 from omabench.harness import (_JSON, BeamConfig, CampaignConfig, BenchmarkReport,
@@ -133,6 +134,8 @@ class TestConfig:
                         (_beam({"force_band": [1.2, 1.8], "duration": 1.0}),
                          "force_band contains no spectral line"),
                         (_beam({"force_rms": 0.0}), "force_rms must be positive"),
+                        ({"peaks": {"band": [0.5, 300.0, 400.0]}}, "band must be a pair [lo, hi]"),
+                        ({"peaks": {"band": [0.5]}}, "band must be a pair [lo, hi]"),
                         ({**_beam({"duration": 1.0}), "ssi": {"orders": [2, 4, 200]}},
                          "ssi.orders for beam A: max order 200 exceeds "
                          "block_rows * channels = 100"),
@@ -425,6 +428,20 @@ class TestRunCampaign:
     def test_no_failures_recorded(self, cf_campaign):
         assert cf_campaign.failure_counts == {}
 
+    def test_pool_capped_at_core_count(self, monkeypatch):
+        """campaign_pool starts at most one worker per core.  A stand-in
+        executor records the worker count, so no process is started."""
+        counts = []
+        monkeypatch.setattr(harness, "ProcessPoolExecutor",
+                            lambda max_workers, **kw: counts.append(max_workers))
+        cfg = small_config()
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for jobs in (1, 2, 3, 100_000):
+            campaign_pool(cfg, {}, jobs)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker
+        campaign_pool(cfg, {}, 4)
+        assert counts == [1, 2, 2, 2, 1]
+
 
 class TestReportStatistics:
     def test_mode_one_mean_mac_degrades_monotonically(self, cf_campaign):
@@ -682,6 +699,20 @@ class TestTables:
         for name in names:
             assert filecmp.cmp(tmp_path / "serial" / name, tmp_path / "pooled" / name,
                                shallow=False), name
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pooled"])
+    def test_unwritable_curve_raises(self, beam_artifacts, tmp_path, pooled):
+        """A curve that cannot be written raises out of the table stage,
+        from the serial map and from a pool worker alike, after the tables."""
+        cfg = small_config(noise_levels=(0.5,))
+        arts = {"CF": beam_artifacts["CF"]}
+        report = run_campaign(cfg, artifacts=arts)
+        out = tmp_path / "out"
+        (out / "anpsd_CF_0.5.csv").mkdir(parents=True)
+        with campaign_pool(cfg, arts, 2) if pooled else nullcontext() as pool:
+            with pytest.raises(IsADirectoryError):
+                summarize_and_tables(report, out, arts, pool)
+        assert (out / "table_err.csv").is_file()
 
     def test_rerun_byte_identical(self, cf_campaign, beam_artifacts, outdir,
                                   tmp_path):
